@@ -5,12 +5,11 @@ __version__ = "0.1.0"
 
 from .linalg import (
     ComplexError,
+    ConsistencyError,
     Field,
     ShapeError,
     SparseMatrix,
-    compose,
     homology_dim,
-    rank,
 )
 from .conf_algebra import (
     AlgebraElement,
@@ -20,15 +19,14 @@ from .conf_algebra import (
     multiply,
     normal_form,
 )
-from .cache import ResultCache, ResultRecord, cache_roundtrip, fingerprint
+from .cache import ResultCache, ResultRecord, fingerprint
 from .sinha import (
     CapacityError,
-    ColumnComplex,
-    ConsistencyError,
     KanReport,
     PageTable,
     SINHA_E2,
     VASSILIEV_E1,
+    column_homology,
     d1_matrix,
     degeneracy_pullback,
     e2_diagonal,
@@ -53,7 +51,6 @@ __all__ = [
     "AlgebraElement",
     "CapacityError",
     "ChordDiagram",
-    "ColumnComplex",
     "ComplexError",
     "ConsistencyError",
     "Field",
@@ -68,8 +65,7 @@ __all__ = [
     "SparseMatrix",
     "VASSILIEV_E1",
     "basis_monomials",
-    "cache_roundtrip",
-    "compose",
+    "column_homology",
     "fingerprint",
     "d1_matrix",
     "degeneracy_pullback",
@@ -86,7 +82,6 @@ __all__ = [
     "normal_form",
     "normalized_basis",
     "one_term_relations",
-    "rank",
     "relation_matrix",
     "vassiliev_e1_view",
 ]

@@ -41,16 +41,6 @@ class ResultRecord:
         )
 
 
-def cache_roundtrip(record: ResultRecord, cache_dir: str) -> ResultRecord:
-    """Store a record, then read it back; the result equals the input."""
-    cache = ResultCache(cache_dir)
-    cache.store(record)
-    out = cache.load(record.fingerprint)
-    if out is None:
-        raise OSError(f"cache write for {record.fingerprint} did not survive a read")
-    return out
-
-
 class ResultCache:
     def __init__(self, cache_dir: str):
         self.cache_dir = cache_dir

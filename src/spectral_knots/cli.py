@@ -155,57 +155,35 @@ def run(cfg: RunConfig) -> ResultRecord:
     return record
 
 
-def run_e2(cfg: RunConfig) -> ResultRecord:
-    if cfg.command != "e2":
-        raise ValueError("run_e2 requires command == 'e2'")
-    return run(cfg)
-
-
-def run_crosscheck(cfg: RunConfig) -> ResultRecord:
-    if cfg.command != "crosscheck":
-        raise ValueError("run_crosscheck requires command == 'crosscheck'")
-    return run(cfg)
-
-
-def format_payload(payload: dict, fmt: str) -> str:
+def format_payload(payload: dict, fmt: str, command: str) -> str:
     if fmt == "json":
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     if fmt == "csv":
-        return _format_csv(payload)
+        return _format_csv(*_table(command, payload))
     if fmt == "markdown":
-        return _format_markdown(payload)
+        return _format_markdown(*_table(command, payload))
     raise ValueError(f"unknown output format {fmt!r}")
 
 
-def _tabulate(payload: dict):
-    """Flatten a payload into (header, rows) for delimited output."""
-    if "pages" in payload:
-        header = ["page", "col", "row", "dim"]
-        rows = []
-        for name in sorted(payload["pages"]):
-            for e in payload["pages"][name]:
-                rows.append([name, e["col"], e["row"], e["dim"]])
-        return header, rows
-    if "crosscheck" in payload:
-        header = ["n_diag", "dim_A", "e2_diag", "equal"]
-        rows = [[e["n_diag"], e["dim_A"], e["e2_diag"], e["equal"]] for e in payload["crosscheck"]]
-        return header, rows
-    if "dim_A" in payload:
-        header = ["n_diag", "dim"]
-        rows = [[e["n_diag"], e["dim"]] for e in payload["dim_A"]]
-        return header, rows
-    if "kan_check" in payload:
-        header = ["degree", "lhs", "rhs", "equal"]
-        rows = [
-            [e["degree"], e["lhs"], e["rhs"], e["equal"]]
-            for e in payload["kan_check"]["total_degrees"]
-        ]
-        return header, rows
-    return ["key", "value"], [[k, payload[k]] for k in sorted(payload)]
+# command -> (header, payload -> entries); each entry holds the header's keys
+_TABLES = {
+    "e2": (
+        ("page", "col", "row", "dim"),
+        lambda p: [dict(e, page=name) for name in sorted(p["pages"]) for e in p["pages"][name]],
+    ),
+    "chord": (("n_diag", "dim"), lambda p: p["dim_A"]),
+    "crosscheck": (("n_diag", "dim_A", "e2_diag", "equal"), lambda p: p["crosscheck"]),
+    "kancheck": (("degree", "lhs", "rhs", "equal"), lambda p: p["kan_check"]["total_degrees"]),
+}
 
 
-def _format_csv(payload: dict) -> str:
-    header, rows = _tabulate(payload)
+def _table(command: str, payload: dict):
+    """The (header, rows) table of a command's payload, for delimited output."""
+    header, entries = _TABLES[command]
+    return header, [[e[h] for h in header] for e in entries(payload)]
+
+
+def _format_csv(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -213,8 +191,7 @@ def _format_csv(payload: dict) -> str:
     return buf.getvalue()
 
 
-def _format_markdown(payload: dict) -> str:
-    header, rows = _tabulate(payload)
+def _format_markdown(header, rows) -> str:
     lines = [
         "| " + " | ".join(str(h) for h in header) + " |",
         "|" + "|".join(" --- " for _ in header) + "|",
@@ -265,7 +242,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"error: capacity exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    sys.stdout.write(format_payload(record.payload, cfg.output_format))
+    sys.stdout.write(format_payload(record.payload, cfg.output_format, cfg.command))
     if cfg.command == "crosscheck":
         bad = [e for e in record.payload["crosscheck"] if not e["equal"]]
         if bad:

@@ -199,32 +199,29 @@ def reduce_squarefree(mono: frozenset, choose=None) -> dict:
     """
     if choose is None:
         return dict(_reduce_cached(mono))
-    return _reduce_uncached(mono, choose)
+
+    def recurse(sub):
+        return _reduce(sub, choose, recurse)
+
+    return dict(recurse(mono))
 
 
 @lru_cache(maxsize=None)
 def _reduce_cached(mono: frozenset):
+    return _reduce(mono, _default_choice, _reduce_cached)
+
+
+def _reduce(mono: frozenset, choose, recurse):
+    """One rewrite step by ``choose``, then ``recurse`` on each resulting monomial."""
     shared = _shared_larger(mono)
     if not shared:
         return ((mono, 1),)
-    a1, a2, c = _default_choice(shared)
-    out = {}
-    for sub, coeff in _rewrite_step(mono, a1, a2, c):
-        for m, k in _reduce_cached(sub):
-            out[m] = out.get(m, 0) + coeff * k
-    return tuple((m, k) for m, k in out.items() if k)
-
-
-def _reduce_uncached(mono: frozenset, choose) -> dict:
-    shared = _shared_larger(mono)
-    if not shared:
-        return {mono: 1}
     a1, a2, c = choose(shared)
     out = {}
     for sub, coeff in _rewrite_step(mono, a1, a2, c):
-        for m, k in _reduce_uncached(sub, choose).items():
+        for m, k in recurse(sub):
             out[m] = out.get(m, 0) + coeff * k
-    return {m: k for m, k in out.items() if k}
+    return tuple((m, k) for m, k in out.items() if k)
 
 
 def _rewrite_step(mono, a1, a2, c):
@@ -236,7 +233,7 @@ def _rewrite_step(mono, a1, a2, c):
         yield frozenset(rest) | set(repl), sign
 
 
-def _reduce_product(raw_pairs) -> dict:
+def _reduce_product(raw_pairs, choose=None) -> dict:
     """Canonicalize raw (i, j) pairs, kill squares, reduce.  Integer output."""
     sign = 1
     canon = []
@@ -246,7 +243,7 @@ def _reduce_product(raw_pairs) -> dict:
         canon.append(p)
     if len(set(canon)) != len(canon):
         return {}
-    out = reduce_squarefree(frozenset(canon))
+    out = reduce_squarefree(frozenset(canon), choose)
     return {m: sign * c for m, c in out.items()}
 
 
@@ -257,24 +254,12 @@ def normal_form(factors, strands: int, field: Field, choose=None) -> AlgebraElem
     unordered (antisymmetry sign applied) or repeated (then the result
     is zero).
     """
-    if isinstance(factors, Monomial):
-        raw = factors.factors
-    else:
-        raw = list(factors)
-    sign = 1
-    canon = []
+    raw = factors.factors if isinstance(factors, Monomial) else list(factors)
     for (i, j) in raw:
         if not (1 <= i <= strands and 1 <= j <= strands):
             raise ValueError(f"index pair {(i, j)} out of range on {strands} strands")
-        p, s = canonical_pair(i, j)
-        sign *= s
-        canon.append(p)
-    if len(set(canon)) != len(canon):
-        return AlgebraElement.zero(strands, field)
-    reduced = reduce_squarefree(frozenset(canon), choose=choose)
-    return AlgebraElement(
-        {Monomial(m, strands): sign * c for m, c in reduced.items()}, strands, field
-    )
+    reduced = _reduce_product(raw, choose)
+    return AlgebraElement({Monomial(m, strands): c for m, c in reduced.items()}, strands, field)
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

@@ -26,6 +26,10 @@ class ComplexError(ValueError):
     """A pair of differentials does not compose to zero."""
 
 
+class ConsistencyError(RuntimeError):
+    """A computed result violates a structural guarantee; signals a bug upstream."""
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -259,7 +263,8 @@ def _rank_rational(rows) -> int:
         row = active[i]
         for c in row:
             q, rem = divmod(row[c] * num, den)
-            assert rem == 0, "fraction-free invariant violated"
+            if rem:
+                raise ConsistencyError("fraction-free invariant violated")
             row[c] = q
         state[i] = step
 
@@ -279,7 +284,8 @@ def _rank_rational(rows) -> int:
                 v = piv * row.get(c, 0) - f * prow.get(c, 0)
                 if v:
                     q, rem = divmod(v, prev)
-                    assert rem == 0, "fraction-free invariant violated"
+                    if rem:
+                        raise ConsistencyError("fraction-free invariant violated")
                     new[c] = q
             for c in row:
                 if c not in new:
@@ -328,29 +334,23 @@ def _rank_prime(rows, p: int) -> int:
     return rank
 
 
-def rank(m: SparseMatrix) -> int:
-    return m.rank()
+def homology_dim(differentials) -> list:
+    """Homology dimensions [h_0, ..., h_m] of 0 <- C_0 <- C_1 <- ... <- C_m <- 0.
 
-
-def compose(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
-    return a.compose(b)
-
-
-def homology_dim(d_in: SparseMatrix, d_out: SparseMatrix) -> int:
-    """dim ker(d_out) - rank(d_in) for a three-term complex.
-
-    ``d_in`` maps into the middle term, ``d_out`` maps out of it; the
-    composite d_out * d_in must vanish.
+    ``differentials`` is [d_1, ..., d_m] with d_i : C_i -> C_{i-1}, so d_i
+    is a dim C_{i-1} x dim C_i matrix.  Every consecutive composite
+    d_i * d_{i+1} must vanish; each d_i is ranked once, and the two end
+    maps have rank 0.
     """
-    if d_in.field != d_out.field:
-        raise ShapeError("mismatched fields")
-    if d_in.rows != d_out.cols:
-        raise ShapeError(
-            f"middle dimension mismatch: d_in has {d_in.rows} rows, d_out has {d_out.cols} cols"
-        )
-    if not d_out.compose(d_in).is_zero():
-        raise ComplexError("d_out * d_in != 0")
-    middle = d_in.rows
-    h = middle - d_out.rank() - d_in.rank()
-    assert h >= 0
-    return h
+    ds = list(differentials)
+    if not ds:
+        raise ValueError("a complex needs at least one differential")
+    for i in range(1, len(ds)):
+        if not ds[i - 1].compose(ds[i]).is_zero():
+            raise ComplexError(f"d_{i} * d_{i + 1} != 0")
+    ranks = [0] + [d.rank() for d in ds] + [0]
+    dims = [ds[0].rows] + [d.cols for d in ds]
+    out = [dims[i] - ranks[i] - ranks[i + 1] for i in range(len(dims))]
+    if min(out) < 0:
+        raise ConsistencyError(f"negative homology dimension in {out}")
+    return out

@@ -15,7 +15,7 @@ cross-check, see tests):
   tangent class g(i, i).
 * outer faces i = 0 and i = l: the boundary strand is deleted; any factor
   touching it pulls back to zero.  On normalized columns the outer faces
-  therefore vanish identically (asserted during matrix assembly).
+  therefore vanish identically (checked during matrix assembly).
 """
 
 from __future__ import annotations
@@ -26,18 +26,13 @@ from functools import lru_cache
 from math import comb
 
 from .conf_algebra import AlgebraElement, Monomial, basis_monomials, dim_Y, reduce_squarefree
-from .linalg import Field, SparseMatrix, homology_dim
+from .linalg import ConsistencyError, Field, SparseMatrix, homology_dim
 
-SINHA_E1 = "sinha_e1"
 SINHA_E2 = "sinha_e2"
 VASSILIEV_E1 = "vassiliev_e1"
 
 # largest column dimension the page builder will attempt
 CAPACITY_LIMIT = 200_000
-
-
-class ConsistencyError(RuntimeError):
-    """A computed page violates a structural guarantee; signals a bug upstream."""
 
 
 class CapacityError(RuntimeError):
@@ -173,7 +168,8 @@ def d1_matrix(l: int, k: int, f: Field) -> SparseMatrix:
         for i in range(0, l + 1):
             img = _face_monomial(i, l, mono.factors)
             if i in (0, l):
-                assert not img, f"outer face {i} nonzero on normalized monomial {mono!r}"
+                if img:
+                    raise ConsistencyError(f"outer face {i} nonzero on normalized monomial {mono!r}")
                 continue
             sign = -1 if i % 2 else 1
             for m, ic in img.items():
@@ -187,45 +183,16 @@ def d1_matrix(l: int, k: int, f: Field) -> SparseMatrix:
     return SparseMatrix(len(tgt), len(src), f, entries)
 
 
-class ColumnComplex:
-    """Normalized column complex at fixed complexity k, truncated at level n.
-
-    ``bases[l]`` is the ordered monomial basis of the l-th column and
-    ``differentials[l]`` the matrix of the alternating face sum into column
-    l-1.  Construction checks that consecutive differentials compose to
-    zero and that columns above 2k are empty.
+def column_homology(n: int, k: int, f: Field) -> list:
+    """Homology dimensions [h_0, ..., h_n] of the normalized column complex
+    at degree 2k, truncated at n (column n+1 is zero, so h_n is a kernel
+    dimension).  Columns above 2k must be empty.
     """
-
-    __slots__ = ("k", "truncation", "field", "bases", "differentials")
-
-    def __init__(self, k: int, truncation: int, field: Field):
-        if truncation < 1:
-            raise ValueError("truncation must be >= 1")
-        self.k = k
-        self.truncation = truncation
-        self.field = field
-        self.bases = {l: normalized_basis(l, k) for l in range(0, truncation + 1)}
-        self.differentials = {
-            l: d1_matrix(l, k, field) for l in range(1, truncation + 1)
-        }
-        for l in range(2, truncation + 1):
-            prod = self.differentials[l - 1].compose(self.differentials[l])
-            if not prod.is_zero():
-                raise ConsistencyError(f"d1(l={l - 1}) * d1(l={l}) != 0 at k={k}")
-        for l in range(2 * k + 1, truncation + 1):
-            if self.bases[l]:
-                raise ConsistencyError(f"column l={l} should be empty for k={k}")
-
-    def homology(self, l: int) -> int:
-        """Homology dimension at column l, with the truncation column above n zero."""
-        if not (1 <= l <= self.truncation):
-            raise ValueError(f"column {l} outside 1..{self.truncation}")
-        d_out = self.differentials[l]
-        if l + 1 <= self.truncation:
-            d_in = self.differentials[l + 1]
-        else:
-            d_in = SparseMatrix.zero(d_out.cols, 0, self.field)
-        return homology_dim(d_in, d_out)
+    ds = [d1_matrix(l, k, f) for l in range(1, n + 1)]
+    for l in range(2 * k + 1, n + 1):
+        if ds[l - 1].cols:
+            raise ConsistencyError(f"column l={l} should be empty for k={k}")
+    return homology_dim(ds)
 
 
 class PageTable:
@@ -277,9 +244,9 @@ def e2_page(n: int, k_max: int, f: Field) -> PageTable:
                 )
     entries = {}
     for k in range(0, k_max + 1):
-        cc = ColumnComplex(k, n, f)
+        hs = column_homology(n, k, f)
         for l in range(1, n + 1):
-            entries[(-l, 2 * k)] = cc.homology(l)
+            entries[(-l, 2 * k)] = hs[l]
     return PageTable(entries, SINHA_E2, f, n)
 
 
@@ -288,7 +255,7 @@ def e2_diagonal(n_diag: int, f: Field) -> int:
 
     Above the diagonal the normalized column is empty (k factors cover at
     most 2k strands), so the entry is the same for every truncation
-    >= 2*n_diag; the emptiness is asserted, not assumed.
+    >= 2*n_diag; the emptiness is checked, not assumed.
     """
     if n_diag < 1:
         raise ValueError("n_diag must be >= 1")
@@ -299,8 +266,9 @@ def e2_diagonal(n_diag: int, f: Field) -> int:
         )
     d_out = d1_matrix(l, k, f)
     d_in = d1_matrix(l + 1, k, f)
-    assert d_in.cols == 0, "normalized column above the diagonal must be empty"
-    return homology_dim(d_in, d_out)
+    if d_in.cols:
+        raise ConsistencyError("normalized column above the diagonal must be empty")
+    return homology_dim([d_out, d_in])[1]
 
 
 def vassiliev_e1_view(p: PageTable) -> PageTable:
@@ -364,7 +332,8 @@ def kan_unit_check(n: int, k_max: int, f: Field, corrupt_sign: bool = False) -> 
 
     report = KanReport()
     for k in range(0, k_max + 1):
-        _accumulate(report.rhs_dims, _plain_column_homology(n, k, f), k)
+        plain = column_homology(n, k, f)
+        _accumulate(report.rhs_dims, {l: h for l, h in enumerate(plain) if normalized_basis(l, k)}, k)
         _accumulate(report.lhs_dims, _expanded_column_homology(n, k, f, corrupt_sign), k)
     return report
 
@@ -373,20 +342,6 @@ def _accumulate(dims, per_level, k):
     for level, h in per_level.items():
         t = 2 * k - level
         dims[t] = dims.get(t, 0) + h
-
-
-def _plain_column_homology(n: int, k: int, f: Field) -> dict:
-    """Homology dimension per simplicial level of the normalized column at degree 2k."""
-    mids = {l: len(normalized_basis(l, k)) for l in range(0, n + 1)}
-    mats = {l: d1_matrix(l, k, f) for l in range(1, n + 1)}
-    out = {}
-    for l in range(0, n + 1):
-        if mids[l] == 0:
-            continue
-        d_out = mats[l] if l >= 1 else SparseMatrix.zero(0, mids[0], f)
-        d_in = mats[l + 1] if l + 1 <= n else SparseMatrix.zero(mids[l], 0, f)
-        out[l] = homology_dim(d_in, d_out)
-    return out
 
 
 def _expanded_column_homology(n: int, k: int, f: Field, corrupt_sign: bool) -> dict:
@@ -408,16 +363,10 @@ def _expanded_column_homology(n: int, k: int, f: Field, corrupt_sign: bool) -> d
                     entries[key] = entries.get(key, 0) + sign * ic
         return SparseMatrix(len(bases[r - 1]), len(src), f, entries)
 
-    mats = {r: dmat(r) for r in range(1, n + 1)}
-    out = {}
-    for r in range(0, n + 1):
-        mid = len(bases[r])
-        if mid == 0:
-            continue
-        d_out = mats[r] if r >= 1 else SparseMatrix.zero(0, mid, f)
-        d_in = mats[r + 1] if r + 1 <= n else SparseMatrix.zero(mid, 0, f)
-        if corrupt_sign:
-            out[r] = mid - d_out.rank() - d_in.rank()
-        else:
-            out[r] = homology_dim(d_in, d_out)
-    return out
+    mats = [dmat(r) for r in range(1, n + 1)]
+    if corrupt_sign:
+        ranks = [0] + [m.rank() for m in mats] + [0]
+        hs = [len(bases[r]) - ranks[r] - ranks[r + 1] for r in range(0, n + 1)]
+    else:
+        hs = homology_dim(mats)
+    return {r: h for r, h in enumerate(hs) if bases[r]}

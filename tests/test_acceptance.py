@@ -16,9 +16,9 @@ from oracles import (
     word_quotient_dim,
 )
 from spectral_knots.chords import dim_A
-from spectral_knots.cli import RunConfig, run_crosscheck, run_e2
+from spectral_knots.cli import RunConfig, run
 from spectral_knots.conf_algebra import basis_monomials, dim_Y, reduce_squarefree
-from spectral_knots.linalg import Field, compose
+from spectral_knots.linalg import Field
 from spectral_knots.sinha import (
     SINHA_E2,
     ConsistencyError,
@@ -55,7 +55,7 @@ def test_criterion_1_cross_pipeline_diagonal_equality():
     with criterion(1, "cross-pipeline diagonal equality, n_diag <= 4, Q/F2/F3"):
         for spec in ("q", "fp:2", "fp:3"):
             cfg = RunConfig(command="crosscheck", n=4, k_max=0, field_spec=spec)
-            record = run_crosscheck(cfg)
+            record = run(cfg)
             for row in record.payload["crosscheck"]:
                 assert row["equal"], (spec, row)
                 assert row["dim_A"] == row["e2_diag"]
@@ -74,7 +74,7 @@ def test_criterion_2_complex_property_suite():
         for f in (Q, F2):
             for k in range(0, 5):
                 for l in range(2, 9):
-                    prod = compose(d1_matrix(l - 1, k, f), d1_matrix(l, k, f))
+                    prod = d1_matrix(l - 1, k, f).compose(d1_matrix(l, k, f))
                     assert prod.is_zero(), (l, k, f)
         for l in range(1, 7):
             for k in range(0, 5):
@@ -143,12 +143,12 @@ def test_criterion_6_determinism(tmp_path, monkeypatch):
             # separate cache dirs force two genuine computations
             monkeypatch.setenv("SPECTRAL_KNOTS_CACHE", str(tmp_path / run_dir))
             cfg = RunConfig(command="e2", n=3, k_max=2, field_spec="q")
-            record = run_e2(cfg)
+            record = run(cfg)
             payloads.append(
                 json.dumps(record.payload, sort_keys=True, separators=(",", ":")).encode()
             )
         assert payloads[0] == payloads[1]
         # and a cache-hit replay serves the identical payload
-        record = run_e2(RunConfig(command="e2", n=3, k_max=2, field_spec="q"))
+        record = run(RunConfig(command="e2", n=3, k_max=2, field_spec="q"))
         replay = json.dumps(record.payload, sort_keys=True, separators=(",", ":")).encode()
         assert replay == payloads[1]

@@ -1,7 +1,7 @@
 import json
 import os
 
-from spectral_knots.cache import ResultCache, ResultRecord, cache_roundtrip, fingerprint
+from spectral_knots.cache import ResultCache, ResultRecord, fingerprint
 
 
 def make_record(fp):
@@ -20,12 +20,6 @@ def test_roundtrip(tmp_path):
     cache.store(record)
     loaded = cache.load(fp)
     assert loaded == record
-
-
-def test_cache_roundtrip_helper(tmp_path):
-    fp = fingerprint({"command": "e2", "n": 4}, "0.1.0")
-    record = make_record(fp)
-    assert cache_roundtrip(record, str(tmp_path)) == record
 
 
 def test_fingerprint_sensitivity():

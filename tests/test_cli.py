@@ -10,8 +10,6 @@ from spectral_knots.cli import (
     format_payload,
     main,
     run,
-    run_crosscheck,
-    run_e2,
 )
 
 
@@ -160,15 +158,6 @@ def test_env_overrides_cache_dir_flag(tmp_path, monkeypatch, capsys):
     assert not flag_dir.exists()
 
 
-def test_run_e2_requires_matching_command():
-    cfg = RunConfig(command="chord", n=2, k_max=0, field_spec="q")
-    with pytest.raises(ValueError):
-        run_e2(cfg)
-    cfg2 = RunConfig(command="e2", n=2, k_max=0, field_spec="q")
-    with pytest.raises(ValueError):
-        run_crosscheck(cfg2)
-
-
 def test_run_records_are_fingerprint_stable():
     cfg = RunConfig(command="e2", n=2, k_max=1, field_spec="q")
     a = run(cfg)
@@ -179,4 +168,4 @@ def test_run_records_are_fingerprint_stable():
 
 def test_format_payload_rejects_unknown():
     with pytest.raises(ValueError):
-        format_payload({}, "yaml")
+        format_payload({}, "yaml", "e2")

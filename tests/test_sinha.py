@@ -4,7 +4,7 @@ import pytest
 
 from oracles import degeneracy_quotient_dim, inclusion_exclusion_dim
 from spectral_knots.conf_algebra import AlgebraElement, Monomial
-from spectral_knots.linalg import Field, compose
+from spectral_knots.linalg import Field
 from spectral_knots.sinha import (
     SINHA_E2,
     VASSILIEV_E1,
@@ -132,7 +132,7 @@ def test_d1_squares_to_zero_small(field):
         for l in range(2, 7):
             a = d1_matrix(l - 1, k, field)
             b = d1_matrix(l, k, field)
-            assert compose(a, b).is_zero(), (l, k, field)
+            assert a.compose(b).is_zero(), (l, k, field)
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +197,13 @@ def test_e2_validates_arguments():
 
 
 def test_column_complex_structure():
-    from spectral_knots.sinha import ColumnComplex
+    from spectral_knots.sinha import column_homology
 
-    cc = ColumnComplex(2, 4, Q)
-    assert [len(cc.bases[l]) for l in range(0, 5)] == [0, 0, 3, 5, 3]
-    assert cc.homology(4) == 1  # the diagonal entry at complexity 2
-    assert cc.homology(1) == 0
-    with pytest.raises(ValueError):
-        cc.homology(5)
+    assert [len(normalized_basis(l, 2)) for l in range(0, 5)] == [0, 0, 3, 5, 3]
+    h = column_homology(4, 2, Q)
+    assert len(h) == 5
+    assert h[4] == 1  # the diagonal entry at complexity 2
+    assert h[1] == 0
 
 
 # ---------------------------------------------------------------------------
