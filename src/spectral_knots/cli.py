@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -29,10 +30,18 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__
-from .cache import ResultCache, ResultRecord, fingerprint
+from .cache import ResultCache, ResultRecord, fingerprint, source_digest
 from .chords import dim_A
 from .linalg import Field
-from .sinha import CapacityError, e2_diagonal, e2_page, kan_unit_check, vassiliev_e1_view
+from .sinha import (
+    CAPACITY_LIMIT,
+    CapacityError,
+    e2_diagonal,
+    e2_page,
+    kan_unit_check,
+    normalized_dim_formula,
+    vassiliev_e1_view,
+)
 
 COMMANDS = ("e2", "chord", "crosscheck", "kancheck")
 FORMATS = ("json", "csv", "markdown")
@@ -72,6 +81,7 @@ class RunConfig:
             "n": self.n,
             "k_max": self.k_max,
             "field_spec": Field.from_spec(self.field_spec).spec(),
+            "source": source_digest(),
         }
         return fingerprint(key, __version__)
 
@@ -134,9 +144,29 @@ def _compute_payload(cfg: RunConfig) -> dict:
     raise ValueError(f"unknown command {cfg.command!r}")
 
 
+def _check_capacity(cfg: RunConfig) -> None:
+    """Raise CapacityError, before anything is allocated, when a degree
+    i <= n of ``chord`` or ``crosscheck`` has more than CAPACITY_LIMIT
+    chord diagrams ((2i-1)!!) or diagonal monomials.  ``e2`` checks its
+    columns itself, ``kancheck`` its depth.
+    """
+    if cfg.command not in ("chord", "crosscheck"):
+        return
+    for i in range(1, cfg.n + 1):
+        sizes = {"chord diagrams": math.prod(range(1, 2 * i, 2))}
+        if cfg.command == "crosscheck":
+            sizes["diagonal monomials"] = normalized_dim_formula(2 * i, i)
+        for what, size in sizes.items():
+            if size > CAPACITY_LIMIT:
+                raise CapacityError(
+                    f"degree {i} has {size} {what}, over the capacity limit {CAPACITY_LIMIT}"
+                )
+
+
 def run(cfg: RunConfig) -> ResultRecord:
     """Execute a validated config, consulting and updating the cache."""
     cfg.validate()
+    _check_capacity(cfg)
     fp = cfg.fingerprint()
     cache = ResultCache(cfg.resolved_cache_dir())
     cached = cache.load(fp)

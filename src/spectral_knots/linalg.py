@@ -5,11 +5,17 @@ Scalars are plain Python values: `fractions.Fraction` over the rationals,
 elements) carry the `Field` that interprets them; there is no per-scalar
 wrapper object.
 
-Rank over the rationals uses fraction-free (Bareiss-style) elimination on
-integer rows: intermediate entries are minors of the cleared-denominator
-matrix, which bounds coefficient swell.  Rows untouched by a pivot step are
-rescaled lazily, so sparsity is preserved.  Pivot choice is deterministic:
-leftmost column, then sparsest row, ties broken by lowest row index.
+Every rank goes through one eliminator, over Q or F_p alike.  A structured
+presolve (LaMacchia & Odlyzko, CRYPTO '90) first takes out weight-1 rows
+with their columns and merges the two columns of each weight-2 row whose
+pivot coefficient is a unit.  One left-to-right sweep over the columns then
+pivots on the sparsest active row of each column, ties broken by lowest row
+index; fill-in lands only right of the pivot column, so the pivot search
+never rescans.  Over Q the rows are cleared of denominators and eliminated
+fraction-free (Bareiss-style): intermediate entries are minors of the
+integer matrix, which bounds coefficient swell, and rows untouched by a
+pivot step are rescaled lazily, so sparsity is preserved.  Over F_p each
+pivot row is scaled to a leading 1 and rows hold residues.
 """
 
 from __future__ import annotations
@@ -76,10 +82,6 @@ class Field:
                 raise ValueError(f"bad field spec {spec!r}") from None
             return cls(p)
         raise ValueError(f"bad field spec {spec!r}")
-
-    @property
-    def is_rationals(self) -> bool:
-        return self.p is None
 
     def spec(self) -> str:
         return "q" if self.p is None else f"fp:{self.p}"
@@ -214,122 +216,142 @@ class SparseMatrix:
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero, {self.field.spec()})"
 
-    def _row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
     def rank(self) -> int:
-        if not self.entries:
-            return 0
-        if self.field.is_rationals:
-            return _rank_rational(self._row_dicts())
-        return _rank_prime(self._row_dicts(), self.field.p)
+        rows = {}
+        for (r, c), v in self.entries.items():
+            rows.setdefault(r, {})[c] = v
+        return _eliminate(rows, self.field.p)
 
 
-def _pick_pivot(active, col_rows):
-    """Deterministic pivot: leftmost column, sparsest row, lowest index."""
-    pc = min(c for i in active for c in active[i])
-    cand = [i for i in col_rows[pc] if i in active]
-    pr = min(cand, key=lambda i: (len(active[i]), i))
-    return pc, pr
+def _presolve(rows, col_rows, p) -> int:
+    """Structured elimination of weight-1 and weight-2 rows; returns their rank.
 
-
-def _rank_rational(rows) -> int:
-    # Clear denominators rowwise (rank-invariant), then run fraction-free
-    # elimination with lazy pivot rescaling of untouched rows.
-    int_rows = []
-    for row in rows:
-        if not row:
-            continue
-        den = math.lcm(*(Fraction(v).denominator for v in row.values()))
-        int_rows.append({c: int(v * den) for c, v in row.items()})
-
-    active = {i: r for i, r in enumerate(int_rows)}
-    state = {i: 0 for i in active}  # elimination steps already applied
-    col_rows = {}
-    for i, r in active.items():
-        for c in r:
-            col_rows.setdefault(c, set()).add(i)
-    pivots = [1]  # pivots[s] = pivot value of step s
-
-    def catch_up(i, step):
-        # untouched rows scale by pivots[step]/pivots[state[i]]; division exact
-        s = state[i]
-        if s == step:
-            return
-        num, den = pivots[step], pivots[s]
-        row = active[i]
-        for c in row:
-            q, rem = divmod(row[c] * num, den)
-            if rem:
-                raise ConsistencyError("fraction-free invariant violated")
-            row[c] = q
-        state[i] = step
-
+    A weight-1 row deletes its column from every other row.  A weight-2 row
+    whose pivot coefficient is a unit (+-1 over Z, anything nonzero over
+    F_p) merges its pivot column into its other column.  Rows whose weight
+    drops to <= 2 re-enter the queue; non-unit weight-2 rows over Q are left
+    to the sweep.  Works in place and keeps ``col_rows`` exact.
+    """
     rank = 0
-    while active:
-        pc, pr = _pick_pivot(active, col_rows)
-        catch_up(pr, rank)
-        prow = active.pop(pr)
-        piv = prow[pc]
-        prev = pivots[rank]
-        for j in [j for j in col_rows[pc] if j in active]:
-            catch_up(j, rank)
-            row = active[j]
-            f = row[pc]
-            new = {}
-            for c in set(row) | set(prow):
-                v = piv * row.get(c, 0) - f * prow.get(c, 0)
+    queue = [i for i, row in rows.items() if len(row) <= 2]
+    while queue:
+        i = queue.pop()
+        row = rows.get(i)
+        if row is None or len(row) > 2:
+            continue
+        # pivot on the column with fewer rows to update, if its coefficient is a unit
+        (x, a), *rest = sorted(row.items(), key=lambda t: len(col_rows[t[0]]))
+        if rest and p is None and a not in (1, -1):
+            (x, a), rest = rest[0], [(x, a)]
+            if a not in (1, -1):
+                continue
+        del rows[i]
+        for c in row:
+            col_rows[c].discard(i)
+        a_inv = a if p is None else pow(a, -1, p)
+        for j in col_rows.pop(x):
+            r = rows[j]
+            g = r.pop(x)
+            for y, b in rest:  # merge column x into column y
+                v = r.get(y, 0) - g * b * a_inv
+                if p is not None:
+                    v %= p
                 if v:
-                    q, rem = divmod(v, prev)
-                    if rem:
-                        raise ConsistencyError("fraction-free invariant violated")
-                    new[c] = q
-            for c in row:
-                if c not in new:
-                    col_rows[c].discard(j)
-            for c in new:
-                col_rows.setdefault(c, set()).add(j)
-            if new:
-                active[j] = new
-                state[j] = rank + 1
-            else:
-                del active[j]
-        pivots.append(piv)
+                    if y not in r:
+                        col_rows[y].add(j)
+                    r[y] = v
+                elif y in r:
+                    del r[y]
+                    col_rows[y].discard(j)
+            if not r:
+                del rows[j]
+            elif len(r) <= 2:
+                queue.append(j)
         rank += 1
     return rank
 
 
-def _rank_prime(rows, p: int) -> int:
-    active = {i: dict(r) for i, r in enumerate(rows) if r}
+def _eliminate(rows, p) -> int:
+    """Rank of ``rows`` ({index: {col: nonzero value}}) over Q (p is None)
+    or F_p; the row dicts are consumed.
+
+    After the presolve, the sweep visits the columns in increasing order and
+    pivots on the sparsest active row of each.  Columns left of the current
+    one are empty and fill-in only copies columns of the pivot row, so no
+    column is met twice and no new column appears.
+    """
+    if p is None:
+        for row in rows.values():  # clear denominators rowwise (rank-invariant)
+            den = math.lcm(*(v.denominator for v in row.values()))
+            for c, v in row.items():
+                row[c] = v.numerator * (den // v.denominator)
     col_rows = {}
-    for i, r in active.items():
-        for c in r:
+    for i, row in rows.items():
+        for c in row:
             col_rows.setdefault(c, set()).add(i)
-    rank = 0
-    while active:
-        pc, pr = _pick_pivot(active, col_rows)
-        prow = active.pop(pr)
-        inv = pow(prow[pc], -1, p)
-        for j in [j for j in col_rows[pc] if j in active]:
-            row = active[j]
-            f = row[pc] * inv % p
-            new = {}
-            for c in set(row) | set(prow):
-                v = (row.get(c, 0) - f * prow.get(c, 0)) % p
-                if v:
-                    new[c] = v
+    rank = _presolve(rows, col_rows, p)
+
+    state = dict.fromkeys(rows, 0)  # Bareiss steps already applied (Q only)
+    pivots = [1]  # pivots[s] = pivot value of step s
+
+    def exact(v, den):
+        q, rem = divmod(v, den)
+        if rem:
+            raise ConsistencyError("fraction-free invariant violated")
+        return q
+
+    def catch_up(i, step):
+        # untouched rows scale by pivots[step]/pivots[state[i]]
+        s = state[i]
+        if s != step:
+            num, den = pivots[step], pivots[s]
+            row = rows[i]
             for c in row:
-                if c not in new:
+                row[c] = exact(row[c] * num, den)
+            state[i] = step
+
+    for pc in sorted(col_rows):
+        cand = col_rows.pop(pc)
+        if not cand:
+            continue
+        pr = min(cand, key=lambda i: (len(rows[i]), i))
+        cand.discard(pr)
+        step = len(pivots) - 1
+        if p is None:
+            catch_up(pr, step)
+        prow = rows.pop(pr)
+        piv = prow.pop(pc)
+        prev = pivots[step]
+        if p is not None and piv != 1:  # scale the pivot to 1
+            inv = pow(piv, -1, p)
+            prow = {c: v * inv % p for c, v in prow.items()}
+            piv = 1
+        for c in prow:
+            col_rows[c].discard(pr)
+        for j in cand:
+            if p is None:
+                catch_up(j, step)
+                state[j] = step + 1
+            row = rows[j]
+            f = row.pop(pc)
+            if piv != prev:
+                for c in row:
+                    if c not in prow:
+                        row[c] = exact(row[c] * piv, prev)
+            for c, v in prow.items():
+                old = row.get(c, 0)
+                new = piv * old - f * v
+                new = exact(new, prev) if p is None else new % p
+                if new:
+                    if not old:
+                        col_rows[c].add(j)
+                    row[c] = new
+                elif old:
+                    del row[c]
                     col_rows[c].discard(j)
-            for c in new:
-                col_rows.setdefault(c, set()).add(j)
-            if new:
-                active[j] = new
-            else:
-                del active[j]
+            if not row:
+                del rows[j]
+        pivots.append(piv)
         rank += 1
     return rank
 

@@ -102,10 +102,15 @@ def _covering_forests(l: int, e: int, max_diag: int):
     """Forests of e edges (a,b), a < b, distinct b, leaving <= max_diag strands
     uncovered.  Edges are chosen with b descending, so a strand above the
     current b can only be covered by a diagonal factor; that bounds the DFS.
+    So does counting: the e_left edges still to come cover at most 2*e_left
+    of the strands 1..b that are still uncovered.
     """
 
     def rec(b, e_left, edges, covered, forced_diag):
         if forced_diag > max_diag:
+            return
+        uncovered = b - sum(1 for s in covered if s <= b)
+        if uncovered - 2 * e_left > max_diag - forced_diag:
             return
         if e_left == 0:
             yield edges

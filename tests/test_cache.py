@@ -1,7 +1,11 @@
 import json
 import os
+import shutil
+import subprocess
+import sys
 
-from spectral_knots.cache import ResultCache, ResultRecord, fingerprint
+import spectral_knots
+from spectral_knots.cache import ResultCache, ResultRecord, fingerprint, source_digest
 
 
 def make_record(fp):
@@ -64,3 +68,39 @@ def test_store_is_atomic_no_stray_temp_files(tmp_path):
     cache.store(make_record(fp))
     names = os.listdir(tmp_path)
     assert names == [f"{fp}.json"]
+
+
+def test_unwritable_cache_dir_is_a_miss_not_an_error(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cache = ResultCache(str(blocker / "cache"))
+    fp = fingerprint({"command": "e2", "n": 2}, "0.1.0")
+    cache.store(make_record(fp))
+    assert "warning: result not cached" in capsys.readouterr().err
+    assert cache.load(fp) is None
+    assert os.listdir(tmp_path) == ["blocker"]
+
+
+def _cli_fingerprint(src_root) -> str:
+    code = (
+        "from spectral_knots.cli import RunConfig;"
+        "print(RunConfig(command='chord', n=3, k_max=0, field_spec='q').fingerprint())"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src_root))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def test_one_source_byte_changes_the_fingerprint(tmp_path):
+    pkg = tmp_path / "spectral_knots"
+    shutil.copytree(os.path.dirname(spectral_knots.__file__), pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    before_digest = source_digest(str(pkg))
+    before = _cli_fingerprint(tmp_path)
+    source = pkg / "chords.py"
+    data = bytearray(source.read_bytes())
+    data[3] ^= 0x20  # the first letter of the module docstring changes case
+    source.write_bytes(bytes(data))
+    assert source_digest.__wrapped__(str(pkg)) != before_digest
+    assert _cli_fingerprint(tmp_path) != before

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from spectral_knots import cli
 from spectral_knots.cli import (
     EXIT_CAPACITY,
     EXIT_OK,
@@ -90,6 +91,33 @@ def test_kancheck_capacity(capsys):
     code, _, err = invoke(capsys, "--command", "kancheck", "--n", "4", "--k-max", "1")
     assert code == EXIT_CAPACITY
     assert "capacity" in err
+
+
+@pytest.mark.parametrize("command", ["chord", "crosscheck"])
+def test_capacity_preflight_before_any_work(command, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("computed before the capacity preflight")
+
+    monkeypatch.setattr(cli, "dim_A", refuse)
+    monkeypatch.setattr(cli, "e2_diagonal", refuse)
+    code, out, err = invoke(capsys, "--command", command, "--n", "8", "--field", "fp:2")
+    assert code == EXIT_CAPACITY
+    assert out == ""
+    assert "2027025 chord diagrams" in err
+    # n = 7 (135135 diagrams) is still admitted
+    cli._check_capacity(RunConfig(command=command, n=7, k_max=0, field_spec="q"))
+
+
+def test_unwritable_cache_dir_warns_and_computes(tmp_path, monkeypatch, capsys):
+    # the cache path's parent is a regular file, so the directory cannot exist
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    monkeypatch.setenv("SPECTRAL_KNOTS_CACHE", str(blocker / "cache"))
+    code, out, err = invoke(capsys, "--command", "chord", "--n", "3", "--field", "q")
+    assert code == EXIT_OK
+    assert [e["dim"] for e in json.loads(out)["dim_A"]] == [0, 1, 1]
+    assert "warning: result not cached" in err
+    assert blocker.read_text() == "not a directory"
 
 
 def test_chord_command(capsys):

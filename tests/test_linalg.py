@@ -10,6 +10,7 @@ from spectral_knots.linalg import (
     Field,
     ShapeError,
     SparseMatrix,
+    _presolve,
     homology_dim,
 )
 
@@ -170,6 +171,100 @@ def test_fraction_free_rank_exhaustive_3x3():
 @given(small_matrix, st.sampled_from([2, 3, 5]))
 def test_prime_rank_at_most_rational_rank(rows, p):
     assert mat(rows, Field.prime(p)).rank() <= mat(rows).rank()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_prime_rank_exhaustive_3x3(p):
+    import itertools
+
+    for flat in itertools.product(range(p), repeat=9):
+        rows = [list(flat[0:3]), list(flat[3:6]), list(flat[6:9])]
+        assert mat(rows, Field.prime(p)).rank() == naive_rank(rows, p), rows
+
+
+# mostly zeros, so that many rows have weight 1 or 2 and the presolve works
+sparse_matrix = st.integers(1, 8).flatmap(
+    lambda c: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3]), min_size=c, max_size=c),
+        min_size=1,
+        max_size=9,
+    )
+)
+
+
+@settings(max_examples=150)
+@given(st.one_of(small_matrix, sparse_matrix), st.sampled_from([2, 3, 5, 7]))
+def test_prime_rank_matches_dense_oracle(rows, p):
+    assert mat(rows, Field.prime(p)).rank() == naive_rank(rows, p)
+
+
+@settings(max_examples=150)
+@given(sparse_matrix)
+def test_sparse_rational_rank_matches_dense_oracle(rows):
+    assert mat(rows).rank() == naive_rank(rows)
+
+
+def presolve(dense, p=None):
+    """Run the presolve alone on integer rows: (rank found, rows left over)."""
+    rows = {i: {c: v for c, v in enumerate(r) if v} for i, r in enumerate(dense) if any(r)}
+    col_rows = {}
+    for i, r in rows.items():
+        for c in r:
+            col_rows.setdefault(c, set()).add(i)
+    return _presolve(rows, col_rows, p), rows
+
+
+def test_presolve_chain_of_weight_one_deletions():
+    # each deletion leaves the next row with weight 1
+    dense = [
+        [0, 0, 4, 9],
+        [1, 0, 0, 0],
+        [2, 3, 0, 0],
+        [0, 5, 7, 0],
+    ]
+    assert presolve(dense) == (4, {})
+    assert mat(dense).rank() == 4 == naive_rank(dense)
+
+
+def test_presolve_requeues_rows_that_drop_to_weight_two():
+    # the deletion leaves y - z, whose merge leaves 5z from the non-unit 2y + 3z
+    dense = [[1, 0, 0], [1, 1, -1], [0, 2, 3]]
+    assert presolve(dense) == (3, {})
+    assert mat(dense).rank() == 3 == naive_rank(dense)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3])
+def test_presolve_merge_cycle(p):
+    # x - y, y - z, z - x: the third row merges away to nothing
+    dense = [[1, -1, 0], [0, 1, -1], [-1, 0, 1]]
+    assert presolve(dense, p) == (2, {})
+    assert mat(dense, Field(p)).rank() == 2 == naive_rank(dense, p)
+
+
+def test_presolve_leaves_non_unit_pair_over_q():
+    dense = [[2, 3]]
+    assert presolve(dense) == (0, {0: {0: 2, 1: 3}})
+    assert mat(dense).rank() == 1
+    assert mat([[2, 3], [4, 6]]).rank() == 1
+    assert mat([[2, 3], [3, 2]]).rank() == 2 == naive_rank([[2, 3], [3, 2]])
+    # over F_5 both coefficients are units
+    assert presolve(dense, 5) == (1, {})
+
+
+def test_presolve_duplicated_rows():
+    dense = [[1, 1, 0], [1, 1, 0], [0, 1, 1], [0, 1, 1]]
+    for p in (None, 2, 3):
+        assert presolve(dense, p) == (2, {})
+        assert mat(dense, Field(p)).rank() == 2 == naive_rank(dense, p)
+
+
+def test_presolve_merge_empties_another_row():
+    # merging x into y turns 2x - 2y into 0; the dense row is then left
+    dense = [[1, -1, 0, 0], [2, -2, 0, 0], [1, 1, 1, 1]]
+    rank, rest = presolve(dense)
+    assert rank == 1
+    assert rest == {2: {1: 2, 2: 1, 3: 1}}
+    assert mat(dense).rank() == 2 == naive_rank(dense)
 
 
 def _apply_middle_basis_change(d_in, d_out, ops):

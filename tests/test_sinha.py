@@ -3,7 +3,7 @@ import random
 import pytest
 
 from oracles import degeneracy_quotient_dim, inclusion_exclusion_dim
-from spectral_knots.conf_algebra import AlgebraElement, Monomial
+from spectral_knots.conf_algebra import AlgebraElement, Monomial, basis_monomials
 from spectral_knots.linalg import Field
 from spectral_knots.sinha import (
     SINHA_E2,
@@ -97,6 +97,16 @@ def test_normalized_basis_empty_above_two_k():
         for l in range(2 * k + 1, 2 * k + 3):
             if l >= 1:
                 assert normalized_basis(l, k) == ()
+
+
+def test_normalized_basis_is_filtered_full_basis():
+    # the pruned forest search enumerates exactly the basic monomials in
+    # which every strand occurs, in the same order
+    for l in range(0, 8):
+        for k in range(0, 5):
+            every_strand = set(range(1, l + 1))
+            expected = [m for m in basis_monomials(l, k) if m.support() == every_strand]
+            assert list(normalized_basis(l, k)) == expected, (l, k)
 
 
 def test_normalized_triple_agreement_small():
