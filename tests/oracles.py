@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's production paths: a textbook dense
 Gaussian elimination, the raw word-space presentation of the strand
-algebra (all ordered words modulo the full relation span), and the
+algebra (all ordered words modulo the full relation span), the
 inclusion-exclusion / degeneracy-image routes to normalized column
-dimensions.
+dimensions, and the two assembled matrices built from public objects
+(one ChordDiagram per four-term slide, one ``face_pullback`` per face).
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import itertools
 from fractions import Fraction
 from math import comb
 
+from spectral_knots.chords import FOUR_TERM, ChordDiagram, RelationVector, _matchings
 from spectral_knots.conf_algebra import AlgebraElement, basis_monomials, dim_Y
 from spectral_knots.linalg import Field, SparseMatrix
-from spectral_knots.sinha import degeneracy_pullback
+from spectral_knots.sinha import degeneracy_pullback, face_pullback, normalized_basis
 
 
 def naive_rank(dense_rows, p=None) -> int:
@@ -149,3 +151,55 @@ def degeneracy_quotient_dim(l: int, k: int, field: Field) -> int:
             r += 1
     mat = SparseMatrix(r, len(big), field, entries)
     return len(big) - mat.rank()
+
+
+# ---------------------------------------------------------------------------
+# matrix assembly, built literally from the public objects
+
+
+def slide_four_term_relations(n: int):
+    """Four-term vectors by literal slides: each slide builds a ChordDiagram.
+
+    Skeleton, distinguished chord and slot order as in
+    ``chords.four_term_relations``; deduplicated on ``RelationVector.key``.
+    """
+    npts = 2 * n - 1
+    seen = set()
+    out = []
+    for anchor in range(1, npts + 1):
+        others = tuple(p for p in range(1, npts + 1) if p != anchor)
+        for skeleton in _matchings(others):
+            for (b1, b2) in skeleton:
+                acc = {}
+                for slot, sign in zip((b1 - 1, b1, b2 - 1, b2), (1, -1, 1, -1)):
+                    shift = lambda p: p + 1 if p > slot else p
+                    pairs = [(shift(a), shift(b)) for (a, b) in skeleton]
+                    pairs.append((slot + 1, shift(anchor)))
+                    d = ChordDiagram(pairs)
+                    acc[d] = acc.get(d, 0) + sign
+                acc = {d: c for d, c in acc.items() if c}
+                if not acc:
+                    continue
+                vec = RelationVector(FOUR_TERM, acc)
+                if vec.key() not in seen:
+                    seen.add(vec.key())
+                    out.append(vec)
+    return out
+
+
+def face_sum_d1(l: int, k: int, field: Field) -> SparseMatrix:
+    """The alternating sum of ``face_pullback`` on each normalized monomial,
+    projected onto the normalized basis one column down."""
+    src = normalized_basis(l, k)
+    tgt = {m: r for r, m in enumerate(normalized_basis(l - 1, k))}
+    entries = {}
+    for c, mono in enumerate(src):
+        x = AlgebraElement({mono: 1}, l, field)
+        img = AlgebraElement.zero(l - 1, field)
+        for i in range(0, l + 1):
+            term = face_pullback(i, x)
+            img = img - term if i % 2 else img + term
+        for m, coeff in img.terms.items():
+            if m in tgt:
+                entries[(tgt[m], c)] = coeff
+    return SparseMatrix(len(tgt), len(src), field, entries)

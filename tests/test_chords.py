@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import naive_rank
+from oracles import naive_rank, slide_four_term_relations
 from spectral_knots.chords import (
     FOUR_TERM,
     ONE_TERM,
@@ -76,6 +76,14 @@ def test_four_term_vector_shape():
             assert 1 <= len(rel.terms) <= 4
             assert sum(rel.terms.values()) == 0
             assert set(rel.terms.values()) <= {-1, 1}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_four_term_matches_literal_slides(n):
+    # same vectors, same order, same term order as one ChordDiagram per slide
+    got = [(v.kind, list(v.terms.items())) for v in four_term_relations(n)]
+    want = [(v.kind, list(v.terms.items())) for v in slide_four_term_relations(n)]
+    assert got == want
 
 
 def test_four_term_needs_two_chords():

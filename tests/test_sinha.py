@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import degeneracy_quotient_dim, inclusion_exclusion_dim
+from oracles import degeneracy_quotient_dim, face_sum_d1, inclusion_exclusion_dim
 from spectral_knots.conf_algebra import AlgebraElement, Monomial, basis_monomials
 from spectral_knots.linalg import Field
 from spectral_knots.sinha import (
@@ -143,6 +143,13 @@ def test_d1_squares_to_zero_small(field):
             a = d1_matrix(l - 1, k, field)
             b = d1_matrix(l, k, field)
             assert a.compose(b).is_zero(), (l, k, field)
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(3)])
+def test_d1_matches_face_pullback(field):
+    for l in range(1, 9):
+        for k in range(0, 5):
+            assert d1_matrix(l, k, field) == face_sum_d1(l, k, field), (l, k, field)
 
 
 # ---------------------------------------------------------------------------
