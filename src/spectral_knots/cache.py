@@ -53,6 +53,12 @@ class ResultRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResultRecord":
+        """Rebuild a record; ``TypeError`` when a field has the wrong type."""
+        for key, types in (("fingerprint", str), ("timestamp", str), ("payload", dict)):
+            if not isinstance(d[key], types):
+                raise TypeError(f"{key} is a {type(d[key]).__name__}, not a {types.__name__}")
+        if isinstance(d["wall_time"], bool) or not isinstance(d["wall_time"], (int, float)):
+            raise TypeError(f"wall_time is a {type(d['wall_time']).__name__}, not a number")
         return cls(
             fingerprint=d["fingerprint"],
             payload=d["payload"],

@@ -18,7 +18,7 @@ cancel, leaving a two-term vector; stored coefficients are always +-1.
 
 from __future__ import annotations
 
-from .linalg import Field, SparseMatrix
+from .linalg import ConsistencyError, Field, SparseMatrix
 
 ONE_TERM = "one_term"
 FOUR_TERM = "four_term"
@@ -112,50 +112,48 @@ def one_term_relations(n: int):
     ]
 
 
-def _insert_moving(skeleton, anchor: int, slot: int) -> ChordDiagram:
-    """Insert the moving endpoint after ``slot`` points and renumber.
-
-    ``skeleton`` is a matching on 1..2n-2 of the positions 1..2n-1 minus
-    ``anchor``; the moving endpoint joins the anchor.
-    """
-    shift = lambda p: p + 1 if p > slot else p
-    pairs = [(shift(a), shift(b)) for (a, b) in skeleton]
-    pairs.append((slot + 1, shift(anchor)))
-    return ChordDiagram(pairs)
-
-
 def four_term_relations(n: int):
-    """All four-term vectors from skeleton/chord/moving-endpoint data, deduplicated."""
+    """All four-term vectors from skeleton/chord/moving-endpoint data, deduplicated.
+
+    Each slide is renumbered to a sorted pair tuple and looked up in the
+    enumerated basis; a tuple outside it is a ``ConsistencyError``.
+    """
     if n < 2:
         raise ValueError("four-term relations need n >= 2")
+    diagrams = enumerate_diagrams(n)
+    index = {d.pairs: i for i, d in enumerate(diagrams)}
     npts = 2 * n - 1
     seen = set()
     out = []
     for anchor in range(1, npts + 1):
         others = tuple(p for p in range(1, npts + 1) if p != anchor)
         for skeleton in _matchings(others):
+            # at[slot]: index of the diagram with the moving endpoint after ``slot`` points
+            at = []
+            for slot in range(npts + 1):
+                moved = anchor + (anchor > slot)
+                pairs = [(a + (a > slot), b + (b > slot)) for (a, b) in skeleton]
+                pairs.append((slot + 1, moved) if slot < anchor else (moved, slot + 1))
+                i = index.get(tuple(sorted(pairs)))
+                if i is None:
+                    raise ConsistencyError(f"slide {sorted(pairs)} is not a diagram with {n} chords")
+                at.append(i)
             for (b1, b2) in skeleton:
-                slots = (b1 - 1, b1, b2 - 1, b2)
-                signs = (1, -1, 1, -1)
                 acc = {}
-                for slot, sign in zip(slots, signs):
-                    d = _insert_moving(skeleton, anchor, slot)
-                    acc[d] = acc.get(d, 0) + sign
-                acc = {d: c for d, c in acc.items() if c}
-                if not acc:
-                    continue
-                vec = RelationVector(FOUR_TERM, acc)
-                key = vec.key()
-                if key not in seen:
+                for slot, sign in ((b1 - 1, 1), (b1, -1), (b2 - 1, 1), (b2, -1)):
+                    acc[at[slot]] = acc.get(at[slot], 0) + sign
+                terms = {i: c for i, c in acc.items() if c}
+                key = tuple(sorted(terms.items()))
+                if terms and key not in seen:
                     seen.add(key)
-                    out.append(vec)
+                    out.append(RelationVector(FOUR_TERM, {diagrams[i]: c for i, c in terms.items()}))
     return out
 
 
 def relation_matrix(n: int, f: Field, relations=None) -> SparseMatrix:
     """Stack relation vectors as rows over the diagram basis of size (2n-1)!!."""
     diagrams = enumerate_diagrams(n)
-    index = {d: i for i, d in enumerate(diagrams)}
+    index = {d.pairs: i for i, d in enumerate(diagrams)}
     if relations is None:
         relations = one_term_relations(n)
         if n >= 2:
@@ -163,7 +161,7 @@ def relation_matrix(n: int, f: Field, relations=None) -> SparseMatrix:
     entries = {}
     for r, vec in enumerate(relations):
         for d, c in vec.terms.items():
-            entries[(r, index[d])] = c
+            entries[(r, index[d.pairs])] = c
     return SparseMatrix(len(relations), len(diagrams), f, entries)
 
 

@@ -144,6 +144,11 @@ def _compute_payload(cfg: RunConfig) -> dict:
     raise ValueError(f"unknown command {cfg.command!r}")
 
 
+# command -> the payload key its output is read from; a cached payload
+# without it is corrupt
+_PAYLOAD_KEYS = {"e2": "pages", "chord": "dim_A", "crosscheck": "crosscheck", "kancheck": "kan_check"}
+
+
 def _check_capacity(cfg: RunConfig) -> None:
     """Raise CapacityError, before anything is allocated, when a degree
     i <= n of ``chord`` or ``crosscheck`` has more than CAPACITY_LIMIT
@@ -170,6 +175,10 @@ def run(cfg: RunConfig) -> ResultRecord:
     fp = cfg.fingerprint()
     cache = ResultCache(cfg.resolved_cache_dir())
     cached = cache.load(fp)
+    key = _PAYLOAD_KEYS[cfg.command]
+    if cached is not None and key not in cached.payload:
+        print(f"warning: ignoring corrupt cache file {cache.path(fp)}: no {key!r} in payload", file=sys.stderr)
+        cached = None
     if cached is not None:
         print(f"cache hit: {fp[:12]}", file=sys.stderr)
         return cached

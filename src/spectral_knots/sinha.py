@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import comb
 
-from .conf_algebra import AlgebraElement, Monomial, basis_monomials, dim_Y, reduce_squarefree
+from .conf_algebra import AlgebraElement, Monomial, _reduce_cached, basis_monomials, dim_Y
 from .linalg import ConsistencyError, Field, SparseMatrix, homology_dim
 
 SINHA_E2 = "sinha_e2"
@@ -39,24 +39,25 @@ class CapacityError(RuntimeError):
     """The requested computation exceeds the configured resource bounds."""
 
 
-def _face_monomial(i: int, l: int, factors) -> dict:
-    """Face pullback of a single monomial; frozenset -> int coefficient map."""
+def _face_monomial(i: int, l: int, factors) -> tuple:
+    """Face pullback of a single monomial, as the rewrite memo's own tuple of
+    (frozenset, int coefficient) pairs; () when it vanishes."""
     if 1 <= i <= l - 1:
-        f = lambda s: s if s <= i else s - 1  # shrink {i, i+1} to i
-        raw = [(f(a), f(b)) for (a, b) in factors]
+        # shrink {i, i+1} to i
+        raw = frozenset([(a - (a > i), b - (b > i)) for (a, b) in factors])
     elif i == 0:
-        if any(a == 1 or b == 1 for (a, b) in factors):
-            return {}
-        raw = [(a - 1, b - 1) for (a, b) in factors]
+        if any(a == 1 for (a, _) in factors):  # a <= b, so a == 1 covers b == 1
+            return ()
+        raw = frozenset([(a - 1, b - 1) for (a, b) in factors])
     elif i == l:
-        if any(a == l or b == l for (a, b) in factors):
-            return {}
-        raw = list(factors)
+        if any(b == l for (_, b) in factors):
+            return ()
+        raw = frozenset(factors)
     else:
         raise ValueError(f"face index {i} out of range 0..{l}")
-    if len(set(raw)) != len(raw):
-        return {}
-    return reduce_squarefree(frozenset(raw))
+    if len(raw) != len(factors):  # two factors merged: a square, which vanishes
+        return ()
+    return _reduce_cached(raw)
 
 
 def face_pullback(i: int, x: AlgebraElement) -> AlgebraElement:
@@ -69,7 +70,7 @@ def face_pullback(i: int, x: AlgebraElement) -> AlgebraElement:
     f = x.field
     acc = {}
     for mono, coeff in x.terms.items():
-        for m, ic in _face_monomial(i, l, mono.factors).items():
+        for m, ic in _face_monomial(i, l, mono.factors):
             key = Monomial(m, l - 1)
             acc[key] = f.add(acc.get(key, f.zero()), f.mul(coeff, f.coerce(ic)))
     return AlgebraElement(acc, l - 1, f)
@@ -98,32 +99,40 @@ def normalized_dim_formula(l: int, k: int) -> int:
     return sum((-1) ** j * comb(l, j) * dim_Y(l - j, k) for j in range(l + 1))
 
 
-def _covering_forests(l: int, e: int, max_diag: int):
+def _covering_forests(l: int, e: int, max_diag: int) -> list:
     """Forests of e edges (a,b), a < b, distinct b, leaving <= max_diag strands
     uncovered.  Edges are chosen with b descending, so a strand above the
     current b can only be covered by a diagonal factor; that bounds the DFS.
     So does counting: the e_left edges still to come cover at most 2*e_left
     of the strands 1..b that are still uncovered.
     """
+    out = []
+    covers = [0] * (l + 1)  # edges chosen so far touching each strand
 
-    def rec(b, e_left, edges, covered, forced_diag):
-        if forced_diag > max_diag:
-            return
-        uncovered = b - sum(1 for s in covered if s <= b)
-        if uncovered - 2 * e_left > max_diag - forced_diag:
+    def rec(b, e_left, edges, uncovered, diag_left):
+        # uncovered: strands 1..b touching no edge; diag_left: diagonals not yet forced
+        if uncovered - 2 * e_left > diag_left:
             return
         if e_left == 0:
-            yield edges
+            out.append(edges)
             return
         if b < 2:
             return
+        b_free = covers[b] == 0
+        below = uncovered - b_free
+        covers[b] += 1
         for a in range(1, b):
-            yield from rec(b - 1, e_left - 1, edges + ((a, b),), covered | {a, b}, forced_diag)
+            a_free = covers[a] == 0
+            covers[a] += 1
+            rec(b - 1, e_left - 1, edges + ((a, b),), below - a_free, diag_left)
+            covers[a] -= 1
+        covers[b] -= 1
         # skip b entirely: if b is still uncovered it now needs a diagonal
-        skipped = 0 if b in covered else 1
-        yield from rec(b - 1, e_left, edges, covered, forced_diag + skipped)
+        if diag_left >= b_free:
+            rec(b - 1, e_left, edges, below, diag_left - b_free)
 
-    yield from rec(l, e, (), set(), 0)
+    rec(l, e, (), l, max_diag)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +175,7 @@ def d1_matrix(l: int, k: int, f: Field) -> SparseMatrix:
         raise ValueError("d1 needs a positive column index")
     src = normalized_basis(l, k)
     tgt = normalized_basis(l - 1, k)
-    tgt_index = {m: r for r, m in enumerate(tgt)}
+    tgt_index = {m.factors: r for r, m in enumerate(tgt)}
     entries = {}
     for c, mono in enumerate(src):
         acc = {}
@@ -177,12 +186,12 @@ def d1_matrix(l: int, k: int, f: Field) -> SparseMatrix:
                     raise ConsistencyError(f"outer face {i} nonzero on normalized monomial {mono!r}")
                 continue
             sign = -1 if i % 2 else 1
-            for m, ic in img.items():
+            for m, ic in img:
                 acc[m] = acc.get(m, 0) + sign * ic
         for m, coeff in acc.items():
             if coeff == 0:
                 continue
-            r = tgt_index.get(Monomial(m, l - 1))
+            r = tgt_index.get(tuple(sorted(m)))
             if r is not None:
                 entries[(r, c)] = coeff
     return SparseMatrix(len(tgt), len(src), f, entries)
@@ -241,8 +250,10 @@ def e2_page(n: int, k_max: int, f: Field) -> PageTable:
         raise ValueError("truncation must be >= 1")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
+    # columns l > 2k are empty (k factors cover at most 2k strands), so only
+    # l <= 2k is estimated; column_homology checks the emptiness
     for l in range(1, n + 1):
-        for k in range(0, k_max + 1):
+        for k in range((l + 1) // 2, k_max + 1):
             if normalized_dim_formula(l, k) > CAPACITY_LIMIT:
                 raise CapacityError(
                     f"column (l={l}, k={k}) exceeds capacity limit {CAPACITY_LIMIT}"
@@ -357,14 +368,14 @@ def _expanded_column_homology(n: int, k: int, f: Field, corrupt_sign: bool) -> d
 
     def dmat(r: int) -> SparseMatrix:
         src = bases[r]
-        tgt_index = {x: i for i, x in enumerate(bases[r - 1])}
+        tgt_index = {(lab, m.factors): i for i, (lab, m) in enumerate(bases[r - 1])}
         entries = {}
         for c, (lab, mono) in enumerate(src):
             for i in range(0, r + 1):
                 newlab = lab[:i] + lab[i + 1:]
                 sign = 1 if corrupt_sign else (-1 if i % 2 else 1)
-                for m, ic in _face_monomial(i, r, mono.factors).items():
-                    key = (tgt_index[(newlab, Monomial(m, r - 1))], c)
+                for m, ic in _face_monomial(i, r, mono.factors):
+                    key = (tgt_index[(newlab, tuple(sorted(m)))], c)
                     entries[key] = entries.get(key, 0) + sign * ic
         return SparseMatrix(len(bases[r - 1]), len(src), f, entries)
 

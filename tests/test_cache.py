@@ -4,6 +4,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 import spectral_knots
 from spectral_knots.cache import ResultCache, ResultRecord, fingerprint, source_digest
 
@@ -60,6 +62,22 @@ def test_truncated_file_recomputes(tmp_path, capsys):
     # the slot is writable again afterwards
     cache.store(make_record(fp))
     assert cache.load(fp) is not None
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("fingerprint", None), ("timestamp", 5), ("wall_time", "0.25"), ("wall_time", True), ("payload", [])],
+)
+def test_wrongly_typed_record_is_a_miss(tmp_path, capsys, field, value):
+    cache = ResultCache(str(tmp_path))
+    fp = fingerprint({"command": "e2", "n": 2}, "0.1.0")
+    cache.store(make_record(fp))
+    data = make_record(fp).to_dict()
+    data[field] = value
+    with open(cache.path(fp), "w") as f:
+        json.dump(data, f)
+    assert cache.load(fp) is None
+    assert "corrupt cache" in capsys.readouterr().err
 
 
 def test_store_is_atomic_no_stray_temp_files(tmp_path):

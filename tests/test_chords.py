@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import naive_rank, slide_four_term_relations
+from spectral_knots import chords
 from spectral_knots.chords import (
     FOUR_TERM,
     ONE_TERM,
@@ -11,7 +12,7 @@ from spectral_knots.chords import (
     one_term_relations,
     relation_matrix,
 )
-from spectral_knots.linalg import Field
+from spectral_knots.linalg import ConsistencyError, Field
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -84,6 +85,13 @@ def test_four_term_matches_literal_slides(n):
     got = [(v.kind, list(v.terms.items())) for v in four_term_relations(n)]
     want = [(v.kind, list(v.terms.items())) for v in slide_four_term_relations(n)]
     assert got == want
+
+
+def test_four_term_slide_outside_the_basis_raises(monkeypatch):
+    basis = chords.enumerate_diagrams(3)
+    monkeypatch.setattr(chords, "enumerate_diagrams", lambda n: basis[1:])
+    with pytest.raises(ConsistencyError):
+        four_term_relations(3)
 
 
 def test_four_term_needs_two_chords():

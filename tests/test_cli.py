@@ -3,6 +3,7 @@ import json
 import pytest
 
 from spectral_knots import cli
+from spectral_knots.cache import ResultCache
 from spectral_knots.cli import (
     EXIT_CAPACITY,
     EXIT_OK,
@@ -118,6 +119,31 @@ def test_unwritable_cache_dir_warns_and_computes(tmp_path, monkeypatch, capsys):
     assert [e["dim"] for e in json.loads(out)["dim_A"]] == [0, 1, 1]
     assert "warning: result not cached" in err
     assert blocker.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("payload", [[], {"field": "q", "n": 2}])
+def test_corrupt_cached_payload_is_recomputed(fmt, payload, capsys):
+    argv = ("--command", "chord", "--n", "2", "--format", fmt)
+    code, expected, _ = invoke(capsys, *argv)
+    assert code == EXIT_OK
+    cfg = RunConfig(command="chord", n=2, k_max=0, field_spec="q")
+    path = ResultCache(cfg.resolved_cache_dir()).path(cfg.fingerprint())
+    with open(path) as f:
+        data = json.load(f)
+    data["payload"] = payload  # right fingerprint, wrong payload
+    with open(path, "w") as f:
+        json.dump(data, f)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (EXIT_OK, expected)
+    assert "warning: ignoring corrupt cache file" in err
+    assert "cache hit" not in err
+    # the recomputed result overwrote the file and is served from then on
+    with open(path) as f:
+        assert json.load(f)["payload"]["dim_A"] == [{"n_diag": 1, "dim": 0}, {"n_diag": 2, "dim": 1}]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (EXIT_OK, expected)
+    assert "cache hit" in err
 
 
 def test_chord_command(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from oracles import degeneracy_quotient_dim, face_sum_d1, inclusion_exclusion_dim
 from spectral_knots.conf_algebra import AlgebraElement, Monomial, basis_monomials
+from spectral_knots import sinha
 from spectral_knots.linalg import Field
 from spectral_knots.sinha import (
     SINHA_E2,
@@ -14,9 +15,11 @@ from spectral_knots.sinha import (
     d1_matrix,
     degeneracy_pullback,
     e2_page,
+    column_homology,
     face_pullback,
     kan_unit_check,
     normalized_basis,
+    normalized_dim_formula,
     vassiliev_e1_view,
 )
 
@@ -253,6 +256,34 @@ def test_vassiliev_off_lattice_nonzero_raises():
         page = PageTable(bad, SINHA_E2, Q, 2)
         with pytest.raises(ConsistencyError):
             vassiliev_e1_view(page)
+
+
+def test_normalized_dim_formula_vanishes_above_two_k():
+    for k in range(0, 8):
+        for l in range(2 * k + 1, 2 * k + 30):
+            assert normalized_dim_formula(l, k) == 0, (l, k)
+
+
+def test_e2_capacity_loop_skips_empty_columns(monkeypatch):
+    real = sinha.normalized_dim_formula
+
+    def guarded(l, k):
+        if l > 2 * k:
+            raise AssertionError(f"estimated the empty column (l={l}, k={k})")
+        return real(l, k)
+
+    monkeypatch.setattr(sinha, "normalized_dim_formula", guarded)
+    page = e2_page(30, 1, F2)
+    # the table computed when every column was estimated: 60 zero entries
+    assert page.entries == {(-l, 2 * k): 0 for l in range(1, 31) for k in (0, 1)}
+
+
+def test_column_homology_rejects_a_nonempty_column_above_two_k(monkeypatch):
+    real = sinha.normalized_basis
+    fake = (Monomial([(1, 3)], 3),)  # touches both boundary strands
+    monkeypatch.setattr(sinha, "normalized_basis", lambda l, k: fake if (l, k) == (3, 1) else real(l, k))
+    with pytest.raises(ConsistencyError, match="should be empty"):
+        column_homology(3, 1, F2)
 
 
 def test_real_page_is_on_lattice():
