@@ -1,7 +1,7 @@
 """Independent oracles shared by the test suite.
 
 These deliberately avoid the library's production paths: a textbook dense
-Gaussian elimination, the raw word-space presentation of the strand
+Gaussian elimination and matrix product, the raw word-space presentation of the strand
 algebra (all ordered words modulo the full relation span), the
 inclusion-exclusion / degeneracy-image routes to normalized column
 dimensions, and the two assembled matrices built from public objects
@@ -52,6 +52,12 @@ def naive_rank(dense_rows, p=None) -> int:
         if rank == rows:
             break
     return rank
+
+
+def dense_product(a_rows, b_rows, p=None):
+    """Row-by-column product of two dense row lists, reduced mod p when given."""
+    out = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b_rows)] for row in a_rows]
+    return out if p is None else [[v % p for v in row] for row in out]
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,21 @@ def test_multiply_shape_errors():
         multiply(single([(1, 2)], 2), single([(1, 2)], 2, Field.prime(2)))
 
 
+def test_prime_field_coefficients_are_residues():
+    f3 = Field.prime(3)
+    x = single([(1, 2)], 3, f3) + single([(2, 3)], 3, f3)
+    assert (x + x + x).is_zero()
+    assert set((-x).terms.values()) == {2}
+    a = AlgebraElement({Monomial([(1, 3)], 3): 2, Monomial([(1, 1)], 3): 1}, 3, f3)
+    b = AlgebraElement({Monomial([(2, 3)], 3): 2, Monomial([(2, 2)], 3): 2}, 3, f3)
+    prod = a * b
+    assert prod.terms and all(type(c) is int and 0 < c < 3 for c in prod.terms.values())
+    # the same product over Q, read mod 3
+    a_q = AlgebraElement(a.terms, 3, Q)
+    b_q = AlgebraElement(b.terms, 3, Q)
+    assert prod == AlgebraElement((a_q * b_q).terms, 3, f3)
+
+
 def test_arnold_relation_vanishes():
     # g(i,j)g(j,k) + g(j,k)g(k,i) + g(k,i)g(i,j) = 0 for distinct i, j, k
     rng = random.Random(7)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_rank
+from oracles import dense_product, naive_rank
 from spectral_knots.linalg import (
     ComplexError,
     Field,
@@ -88,6 +88,32 @@ def test_compose_shape_error():
         mat([[1, 2]]).compose(mat([[1, 2]]))
     with pytest.raises(ShapeError):
         mat([[1]]).compose(mat([[1]], F2))
+
+
+def _dense(rows, cols):
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 4])
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@settings(max_examples=150)
+@given(
+    st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)).flatmap(
+        lambda s: st.tuples(_dense(s[0], s[1]), _dense(s[1], s[2]))
+    ),
+    st.sampled_from([None, 2, 3, 5]),
+)
+def test_compose_matches_dense_product(pair, p):
+    a, b = pair
+    f = Field(p)
+    got = mat(a, f).compose(mat(b, f))
+    want = dense_product(a, b, p)
+    assert got.entries == {(r, c): v for r, row in enumerate(want) for c, v in enumerate(row) if v}
+    for v in got.entries.values():
+        assert v != 0
+        if p is None:
+            assert isinstance(v, Fraction)
+        else:
+            assert type(v) is int and 0 <= v < p
 
 
 def test_homology_zero_differentials():
