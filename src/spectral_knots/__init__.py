@@ -16,7 +16,6 @@ from .conf_algebra import (
     Monomial,
     basis_monomials,
     dim_Y,
-    multiply,
     normal_form,
 )
 from .cache import ResultCache, ResultRecord, fingerprint
@@ -78,7 +77,6 @@ __all__ = [
     "four_term_relations",
     "homology_dim",
     "kan_unit_check",
-    "multiply",
     "normal_form",
     "normalized_basis",
     "one_term_relations",

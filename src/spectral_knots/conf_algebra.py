@@ -54,10 +54,6 @@ class Monomial:
         self.factors = factors
         self.strands = strands
 
-    @property
-    def degree(self) -> int:
-        return 2 * len(self.factors)
-
     def diagonal(self):
         return tuple(i for (i, j) in self.factors if i == j)
 
@@ -117,7 +113,7 @@ class AlgebraElement:
 
     @classmethod
     def unit(cls, strands: int, field: Field) -> "AlgebraElement":
-        return cls({Monomial((), strands): field.one()}, strands, field)
+        return cls({Monomial((), strands): 1}, strands, field)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -130,35 +126,27 @@ class AlgebraElement:
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        f = self.field
         acc = dict(self.terms)
         for m, c in other.terms.items():
-            acc[m] = f.add(acc.get(m, f.zero()), c)
-        return AlgebraElement(acc, self.strands, f)
+            acc[m] = acc.get(m, 0) + c
+        return AlgebraElement(acc, self.strands, self.field)
 
     def __neg__(self) -> "AlgebraElement":
-        f = self.field
-        return AlgebraElement({m: f.neg(c) for m, c in self.terms.items()}, self.strands, f)
+        return AlgebraElement({m: -c for m, c in self.terms.items()}, self.strands, self.field)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
-    def scale(self, scalar) -> "AlgebraElement":
-        f = self.field
-        s = f.coerce(scalar)
-        return AlgebraElement({m: f.mul(c, s) for m, c in self.terms.items()}, self.strands, f)
-
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        f = self.field
         acc = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                c = f.mul(c1, c2)
+                c = c1 * c2
                 for mono, icoeff in _reduce_product(m1.factors + m2.factors).items():
                     key = Monomial(mono, self.strands)
-                    acc[key] = f.add(acc.get(key, f.zero()), f.mul(c, f.coerce(icoeff)))
-        return AlgebraElement(acc, self.strands, f)
+                    acc[key] = acc.get(key, 0) + c * icoeff
+        return AlgebraElement(acc, self.strands, self.field)
 
     def __eq__(self, other):
         return (
@@ -260,10 +248,6 @@ def normal_form(factors, strands: int, field: Field, choose=None) -> AlgebraElem
             raise ValueError(f"index pair {(i, j)} out of range on {strands} strands")
     reduced = _reduce_product(raw, choose)
     return AlgebraElement({Monomial(m, strands): c for m, c in reduced.items()}, strands, field)
-
-
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a * b
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,10 @@
 """Exact scalar fields and sparse matrices.
 
 Scalars are plain Python values: `fractions.Fraction` over the rationals,
-`int` residues in [0, p) over a prime field.  Containers (matrices, algebra
-elements) carry the `Field` that interprets them; there is no per-scalar
-wrapper object.
+`int` residues in [0, p) over a prime field F_p, p < 2**64.  Containers
+(matrices, algebra elements) carry the `Field` that interprets them, and
+their constructors are the only place where a scalar is reduced into it
+(`Field.coerce`); in between, scalars meet only plain `+`, `-` and `*`.
 
 Every rank goes through one eliminator, over Q or F_p alike.  A structured
 presolve (LaMacchia & Odlyzko, CRYPTO '90) first takes out weight-1 rows
@@ -36,29 +37,35 @@ class ConsistencyError(RuntimeError):
     """A computed result violates a structural guarantee; signals a bug upstream."""
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    """Miller-Rabin on the prime bases 2..37, which is exact for p < 2**64."""
+    if p < 2 or any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    s = ((p - 1) & -(p - 1)).bit_length() - 1  # p - 1 = d * 2**s, d odd
+    for a in _WITNESSES:
+        x = pow(a, (p - 1) >> s, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 2
     return True
 
 
 class Field:
-    """The rationals (p is None) or the prime field F_p."""
+    """The rationals (p is None) or the prime field F_p, p < 2**64."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int | None = None):
-        if p is not None and not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        if p is not None and not (p < 2**64 and _is_prime(p)):
+            raise ValueError(f"{p} is not below 2**64" if p >= 2**64 else f"{p} is not prime")
         self.p = p
 
     @classmethod
@@ -96,29 +103,6 @@ class Field:
                 raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
             return x.numerator * pow(den, -1, self.p) % self.p
         return x % self.p
-
-    def zero(self):
-        return Fraction(0) if self.p is None else 0
-
-    def one(self):
-        return Fraction(1) if self.p is None else 1
-
-    def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
-
-    def inv(self, a):
-        if self.p is None:
-            return 1 / Fraction(a)
-        return pow(a, -1, self.p)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -159,7 +143,7 @@ class SparseMatrix:
 
     @classmethod
     def identity(cls, n: int, field: Field) -> "SparseMatrix":
-        return cls(n, n, field, {(i, i): field.one() for i in range(n)})
+        return cls(n, n, field, {(i, i): 1 for i in range(n)})
 
     @classmethod
     def from_rows(cls, dense, field: Field, cols: int | None = None) -> "SparseMatrix":
@@ -191,19 +175,14 @@ class SparseMatrix:
             raise ShapeError(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
-        f = self.field
         by_row = {}
         for (k, c), v in other.entries.items():
             by_row.setdefault(k, []).append((c, v))
         acc = {}
         for (r, k), a in self.entries.items():
             for c, b in by_row.get(k, ()):
-                key = (r, c)
-                acc[key] = f.add(acc.get(key, f.zero()), f.mul(a, b))
-        return SparseMatrix(self.rows, other.cols, f, acc)
-
-    def __mul__(self, other):
-        return self.compose(other)
+                acc[r, c] = acc.get((r, c), 0) + a * b
+        return SparseMatrix(self.rows, other.cols, self.field, acc)
 
     def __eq__(self, other):
         return (

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -50,6 +51,21 @@ def test_nonprime_field_is_usage_error(capsys):
     assert "not prime" in err
 
 
+def test_large_prime_field_starts_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, "--command", "chord", "--n", "1", "--field", "fp:10000000000000061")
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_OK
+    assert out == '{"dim_A":[{"dim":0,"n_diag":1}],"field":"fp:10000000000000061","n":1}\n'
+
+
+def test_modulus_above_two_to_the_64_is_usage_error(capsys):
+    code, out, err = invoke(capsys, "--command", "chord", "--n", "1", "--field", f"fp:{2**64 + 13}")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "2**64" in err
+
+
 def test_bad_n_is_usage_error(capsys):
     code, _, _ = invoke(capsys, "--command", "e2", "--n", "0", "--k-max", "1")
     assert code == EXIT_USAGE
@@ -86,6 +102,21 @@ def test_kancheck_command(capsys):
     payload = json.loads(out)
     assert payload["kan_check"]["equal"] is True
     assert all(row["equal"] for row in payload["kan_check"]["total_degrees"])
+
+
+def test_kancheck_large_k_max_stops_at_two_n_minus_one(capsys):
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, "--command", "kancheck", "--n", "1", "--k-max", "20000", "--field", "fp:2")
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_OK
+    assert json.loads(out)["kan_check"] == {
+        "equal": True,
+        "total_degrees": [
+            {"degree": -1, "equal": True, "lhs": 0, "rhs": 0},
+            {"degree": 0, "equal": True, "lhs": 1, "rhs": 1},
+            {"degree": 1, "equal": True, "lhs": 1, "rhs": 1},
+        ],
+    }
 
 
 def test_kancheck_capacity(capsys):

@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from spectral_knots.linalg import (
     Field,
     ShapeError,
     SparseMatrix,
+    _is_prime,
     _presolve,
     homology_dim,
 )
@@ -26,6 +29,22 @@ def test_prime_field_requires_prime():
     Field.prime(2)
     Field.prime(97)
     for bad in (0, 1, 4, 6, 9, 100):
+        with pytest.raises(ValueError):
+            Field.prime(bad)
+
+
+def test_primality_matches_trial_division():
+    trial = [p for p in range(20000) if p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))]
+    assert [p for p in range(20000) if _is_prime(p)] == trial
+
+
+def test_large_prime_moduli():
+    start = time.perf_counter()
+    assert Field.prime(2**61 - 1).p == 2**61 - 1
+    assert Field.prime(2**64 - 59).p == 2**64 - 59  # the largest prime below 2**64
+    assert time.perf_counter() - start < 1
+    # a strong pseudoprime to the bases 2, 3, 5 and 7; the first prime above 2**64
+    for bad in (3215031751, 2**64 + 13):
         with pytest.raises(ValueError):
             Field.prime(bad)
 

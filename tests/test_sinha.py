@@ -5,7 +5,7 @@ import pytest
 from oracles import degeneracy_quotient_dim, face_sum_d1, inclusion_exclusion_dim
 from spectral_knots.conf_algebra import AlgebraElement, Monomial, basis_monomials
 from spectral_knots import sinha
-from spectral_knots.linalg import Field
+from spectral_knots.linalg import ComplexError, Field
 from spectral_knots.sinha import (
     SINHA_E2,
     VASSILIEV_E1,
@@ -314,9 +314,25 @@ def test_kan_unit_check_n2(field):
         assert report.lhs_dims.get(t, 0) == report.rhs_dims.get(t, 0)
 
 
-def test_kan_corrupted_sign_detected():
-    report = kan_unit_check(2, 2, Q, corrupt_sign=True)
-    assert not report.equal
+def test_kan_corrupted_sign_detected(monkeypatch):
+    # cancel the alternating sign of the odd faces: d * d no longer vanishes
+    face = sinha._face_monomial
+
+    def unsigned(i, l, factors):
+        img = face(i, l, factors)
+        return tuple((m, -c) for m, c in img) if i % 2 else img
+
+    monkeypatch.setattr(sinha, "_face_monomial", unsigned)
+    with pytest.raises(ComplexError):
+        kan_unit_check(2, 2, Q)
+
+
+@pytest.mark.parametrize("field", [Q, F2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kan_degrees_above_two_n_minus_one_are_empty(n, field):
+    top = kan_unit_check(n, 2 * n - 1, field)
+    beyond = kan_unit_check(n, 2 * n + 3, field)
+    assert (beyond.lhs_dims, beyond.rhs_dims) == (top.lhs_dims, top.rhs_dims)
 
 
 def test_kan_capacity():
