@@ -18,6 +18,8 @@ cancel, leaving a two-term vector; stored coefficients are always +-1.
 
 from __future__ import annotations
 
+import functools
+
 from .linalg import ConsistencyError, Field, SparseMatrix
 
 ONE_TERM = "one_term"
@@ -96,11 +98,13 @@ def _matchings(points):
             yield ((a, points[idx]),) + m
 
 
-def enumerate_diagrams(n: int):
-    """All (2n-1)!! diagrams with n chords, in first-point matching order."""
+@functools.lru_cache(maxsize=1)
+def enumerate_diagrams(n: int) -> tuple:
+    """All (2n-1)!! diagrams with n chords, in first-point matching order;
+    the last degree asked for is memoized for the relation builders."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return [ChordDiagram(m) for m in _matchings(tuple(range(1, 2 * n + 1)))]
+    return tuple(ChordDiagram(m) for m in _matchings(tuple(range(1, 2 * n + 1))))
 
 
 def one_term_relations(n: int):

@@ -1,22 +1,23 @@
 """Exact scalar fields and sparse matrices.
 
-Scalars are plain Python values: `fractions.Fraction` over the rationals,
-`int` residues in [0, p) over a prime field F_p, p < 2**64.  Containers
-(matrices, algebra elements) carry the `Field` that interprets them, and
-their constructors are the only place where a scalar is reduced into it
-(`Field.coerce`); in between, scalars meet only plain `+`, `-` and `*`.
+Scalars are plain Python values over the rationals, `int` when integral
+and `fractions.Fraction` otherwise, and `int` residues in [0, p) over a
+prime field F_p, p < 2**64.  Containers (matrices, algebra elements) carry
+the `Field` that interprets them, and their constructors are the only place
+where a scalar is reduced into it (`Field.coerce`); in between, scalars
+meet only plain `+`, `-` and `*`.
 
-Every rank goes through one eliminator, over Q or F_p alike.  A structured
-presolve (LaMacchia & Odlyzko, CRYPTO '90) first takes out weight-1 rows
-with their columns and merges the two columns of each weight-2 row whose
-pivot coefficient is a unit.  One left-to-right sweep over the columns then
-pivots on the sparsest active row of each column, ties broken by lowest row
-index; fill-in lands only right of the pivot column, so the pivot search
-never rescans.  Over Q the rows are cleared of denominators and eliminated
-fraction-free (Bareiss-style): intermediate entries are minors of the
-integer matrix, which bounds coefficient swell, and rows untouched by a
-pivot step are rescaled lazily, so sparsity is preserved.  Over F_p each
-pivot row is scaled to a leading 1 and rows hold residues.
+Every rank goes through one eliminator, over Q or F_p alike, and one pivot
+step (`_pivot`) is the only code that updates a row.  A structured presolve
+(LaMacchia & Odlyzko, CRYPTO '90) first pivots on every row of weight 1 or
+2: a weight-1 row takes out its column, a weight-2 row merges two columns.
+One left-to-right sweep over the columns then pivots on the sparsest active
+row of each column, ties broken by lowest row index; fill-in lands only
+right of the pivot column, so the pivot search never rescans.  Over Q the
+rows are cleared of denominators and kept primitive: each updated row is
+divided by the gcd of its entries, which bounds coefficient swell by the
+minors of the integer matrix.  Over F_p each pivot row is scaled to a
+leading 1 and rows hold residues.
 """
 
 from __future__ import annotations
@@ -94,9 +95,13 @@ class Field:
         return "q" if self.p is None else f"fp:{self.p}"
 
     def coerce(self, x):
-        """Normalize an int or Fraction into this field."""
+        """Normalize an int or Fraction into this field; integral rationals become int."""
         if self.p is None:
-            return Fraction(x)
+            if type(x) is not int:
+                x = Fraction(x)
+                if x.denominator == 1:
+                    x = x.numerator
+            return x
         if isinstance(x, Fraction):
             den = x.denominator % self.p
             if den == 0:
@@ -202,14 +207,59 @@ class SparseMatrix:
         return _eliminate(rows, self.field.p)
 
 
+def _pivot(rows, col_rows, i, x, p, queue=None) -> None:
+    """Eliminate column ``x`` from every other row with row ``i``, then drop both.
+
+    Each updated row becomes ``a * row - g * (row i)``, where over F_p row i
+    is first scaled so that a = 1; over Q it is then divided by its content:
+    it is proportional to bordered minors of the input, so its primitive part
+    stays bounded.  Updated rows of weight <= 2 are appended to ``queue``.
+    """
+    prow = rows.pop(i)
+    for c in prow:
+        col_rows[c].discard(i)
+    a = prow.pop(x)
+    if p is not None and a != 1:
+        inv = pow(a, -1, p)
+        prow = {c: v * inv % p for c, v in prow.items()}
+        a = 1
+    for j in col_rows.pop(x):
+        row = rows[j]
+        g = row.pop(x)
+        if a != 1:
+            for c in row:
+                row[c] *= a
+        for c, v in prow.items():
+            old = row.get(c, 0)
+            new = old - g * v
+            if p is not None:
+                new %= p
+            if new:
+                if not old:
+                    col_rows[c].add(j)
+                row[c] = new
+            elif old:
+                del row[c]
+                col_rows[c].discard(j)
+        if not row:
+            del rows[j]
+            continue
+        if queue is not None and len(row) <= 2:
+            queue.append(j)
+        if p is None:
+            content = math.gcd(*row.values())
+            if content > 1:
+                for c in row:
+                    row[c] //= content
+
+
 def _presolve(rows, col_rows, p) -> int:
     """Structured elimination of weight-1 and weight-2 rows; returns their rank.
 
-    A weight-1 row deletes its column from every other row.  A weight-2 row
-    whose pivot coefficient is a unit (+-1 over Z, anything nonzero over
-    F_p) merges its pivot column into its other column.  Rows whose weight
-    drops to <= 2 re-enter the queue; non-unit weight-2 rows over Q are left
-    to the sweep.  Works in place and keeps ``col_rows`` exact.
+    Each such row pivots on its column with fewer rows to update: a weight-1
+    row deletes its column, a weight-2 row merges its pivot column into its
+    other one.  Rows whose weight drops to <= 2 re-enter the queue.  Works
+    in place and keeps ``col_rows`` exact.
     """
     rank = 0
     queue = [i for i, row in rows.items() if len(row) <= 2]
@@ -218,34 +268,7 @@ def _presolve(rows, col_rows, p) -> int:
         row = rows.get(i)
         if row is None or len(row) > 2:
             continue
-        # pivot on the column with fewer rows to update, if its coefficient is a unit
-        (x, a), *rest = sorted(row.items(), key=lambda t: len(col_rows[t[0]]))
-        if rest and p is None and a not in (1, -1):
-            (x, a), rest = rest[0], [(x, a)]
-            if a not in (1, -1):
-                continue
-        del rows[i]
-        for c in row:
-            col_rows[c].discard(i)
-        a_inv = a if p is None else pow(a, -1, p)
-        for j in col_rows.pop(x):
-            r = rows[j]
-            g = r.pop(x)
-            for y, b in rest:  # merge column x into column y
-                v = r.get(y, 0) - g * b * a_inv
-                if p is not None:
-                    v %= p
-                if v:
-                    if y not in r:
-                        col_rows[y].add(j)
-                    r[y] = v
-                elif y in r:
-                    del r[y]
-                    col_rows[y].discard(j)
-            if not r:
-                del rows[j]
-            elif len(r) <= 2:
-                queue.append(j)
+        _pivot(rows, col_rows, i, min(row, key=lambda c: len(col_rows[c])), p, queue)
         rank += 1
     return rank
 
@@ -269,69 +292,11 @@ def _eliminate(rows, p) -> int:
         for c in row:
             col_rows.setdefault(c, set()).add(i)
     rank = _presolve(rows, col_rows, p)
-
-    state = dict.fromkeys(rows, 0)  # Bareiss steps already applied (Q only)
-    pivots = [1]  # pivots[s] = pivot value of step s
-
-    def exact(v, den):
-        q, rem = divmod(v, den)
-        if rem:
-            raise ConsistencyError("fraction-free invariant violated")
-        return q
-
-    def catch_up(i, step):
-        # untouched rows scale by pivots[step]/pivots[state[i]]
-        s = state[i]
-        if s != step:
-            num, den = pivots[step], pivots[s]
-            row = rows[i]
-            for c in row:
-                row[c] = exact(row[c] * num, den)
-            state[i] = step
-
     for pc in sorted(col_rows):
-        cand = col_rows.pop(pc)
-        if not cand:
-            continue
-        pr = min(cand, key=lambda i: (len(rows[i]), i))
-        cand.discard(pr)
-        step = len(pivots) - 1
-        if p is None:
-            catch_up(pr, step)
-        prow = rows.pop(pr)
-        piv = prow.pop(pc)
-        prev = pivots[step]
-        if p is not None and piv != 1:  # scale the pivot to 1
-            inv = pow(piv, -1, p)
-            prow = {c: v * inv % p for c, v in prow.items()}
-            piv = 1
-        for c in prow:
-            col_rows[c].discard(pr)
-        for j in cand:
-            if p is None:
-                catch_up(j, step)
-                state[j] = step + 1
-            row = rows[j]
-            f = row.pop(pc)
-            if piv != prev:
-                for c in row:
-                    if c not in prow:
-                        row[c] = exact(row[c] * piv, prev)
-            for c, v in prow.items():
-                old = row.get(c, 0)
-                new = piv * old - f * v
-                new = exact(new, prev) if p is None else new % p
-                if new:
-                    if not old:
-                        col_rows[c].add(j)
-                    row[c] = new
-                elif old:
-                    del row[c]
-                    col_rows[c].discard(j)
-            if not row:
-                del rows[j]
-        pivots.append(piv)
-        rank += 1
+        cand = col_rows[pc]
+        if cand:
+            _pivot(rows, col_rows, min(cand, key=lambda i: (len(rows[i]), i)), pc, p)
+            rank += 1
     return rank
 
 
