@@ -7,6 +7,7 @@ from spectral_knots import cli
 from spectral_knots.cache import ResultCache
 from spectral_knots.cli import (
     EXIT_CAPACITY,
+    EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
     RunConfig,
@@ -14,6 +15,7 @@ from spectral_knots.cli import (
     main,
     run,
 )
+from spectral_knots.sinha import KanReport
 
 
 @pytest.fixture(autouse=True)
@@ -196,6 +198,25 @@ def test_crosscheck_command(capsys):
     rows = {r["n_diag"]: (r["dim_A"], r["e2_diag"]) for r in payload["crosscheck"]}
     assert rows[1] == (0, 0)
     assert rows[2] == (1, 1)
+
+
+def test_crosscheck_mismatch_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "e2_diagonal", lambda n_diag, f: 7)
+    code, out, err = invoke(capsys, "--command", "crosscheck", "--n", "2")
+    assert code == EXIT_MISMATCH
+    assert json.loads(out)["crosscheck"] == [
+        {"n_diag": 1, "dim_A": 0, "e2_diag": 7, "equal": False},
+        {"n_diag": 2, "dim_A": 1, "e2_diag": 7, "equal": False},
+    ]
+    assert '"equal":false' in out
+    assert "n_diag" in err
+
+
+def test_kancheck_mismatch_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "kan_unit_check", lambda n, k_max, f: KanReport({0: 1, 1: 2}, {0: 1, 1: 1}))
+    code, out, _ = invoke(capsys, "--command", "kancheck", "--n", "1", "--k-max", "1")
+    assert code == EXIT_MISMATCH
+    assert json.loads(out)["kan_check"]["equal"] is False
 
 
 def test_csv_format(capsys):
