@@ -4,6 +4,7 @@ chord-diagram space dimensions over the rationals and prime fields."""
 __version__ = "0.1.0"
 
 from .linalg import (
+    CapacityError,
     ComplexError,
     ConsistencyError,
     Field,
@@ -20,7 +21,6 @@ from .conf_algebra import (
 )
 from .cache import ResultCache, ResultRecord, fingerprint
 from .sinha import (
-    CapacityError,
     KanReport,
     PageTable,
     SINHA_E2,

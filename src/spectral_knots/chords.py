@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 
-from .linalg import ConsistencyError, Field, SparseMatrix
+from .linalg import CAPACITY_LIMIT, CapacityError, ConsistencyError, Field, SparseMatrix
 
 ONE_TERM = "one_term"
 FOUR_TERM = "four_term"
@@ -169,9 +169,21 @@ def relation_matrix(n: int, f: Field, relations=None) -> SparseMatrix:
     return SparseMatrix(len(relations), len(diagrams), f, entries)
 
 
+def check_diagram_capacity(n: int) -> None:
+    """Raise CapacityError at the first degree i <= n with more than
+    CAPACITY_LIMIT diagrams.  (2i-1)!! is built up one degree at a time, so
+    a huge n fails at the first degree over the limit."""
+    count = 1
+    for i in range(1, n + 1):
+        count *= 2 * i - 1
+        if count > CAPACITY_LIMIT:
+            raise CapacityError(f"degree {i} has {count} chord diagrams, over the capacity limit {CAPACITY_LIMIT}")
+
+
 def dim_A(n: int, f: Field) -> int:
     """Dimension over f of diagrams modulo the one- and four-term relations."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_diagram_capacity(n)
     m = relation_matrix(n, f)
     return m.cols - m.rank()

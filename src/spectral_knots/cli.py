@@ -10,7 +10,7 @@ Commands:
 * ``kancheck``   brute-force comparison of the expanded and plain
                  normalized complexes (n <= 3)
 
-Exit codes: 0 success, 1 crosscheck mismatch, 2 usage error, 3 capacity
+Exit codes: 0 success, 1 crosscheck or kancheck mismatch, 2 usage error, 3 capacity
 exceeded.  Results are cached under ``--cache-dir`` (overridden by the
 SPECTRAL_KNOTS_CACHE environment variable), keyed by a fingerprint of the
 configuration and code version.
@@ -22,7 +22,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import time
@@ -31,19 +30,10 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .cache import ResultCache, ResultRecord, fingerprint, source_digest
-from .chords import dim_A
-from .linalg import Field
-from .sinha import (
-    CAPACITY_LIMIT,
-    CapacityError,
-    e2_diagonal,
-    e2_page,
-    kan_unit_check,
-    normalized_dim_formula,
-    vassiliev_e1_view,
-)
+from .chords import check_diagram_capacity, dim_A
+from .linalg import CapacityError, Field
+from .sinha import e2_diagonal, e2_page, kan_unit_check, vassiliev_e1_view
 
-COMMANDS = ("e2", "chord", "crosscheck", "kancheck")
 FORMATS = ("json", "csv", "markdown")
 
 EXIT_OK = 0
@@ -62,7 +52,7 @@ class RunConfig:
     cache_dir: str | None = None
 
     def validate(self) -> None:
-        if self.command not in COMMANDS:
+        if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
         if self.output_format not in FORMATS:
             raise ValueError(f"unknown output format {self.output_format!r}")
@@ -98,74 +88,65 @@ def _page_rows(page) -> list:
     return [{"col": c, "row": r, "dim": d} for (c, r), d in page.sorted_items()]
 
 
-def _compute_payload(cfg: RunConfig) -> dict:
-    f = cfg.field()
-    if cfg.command == "e2":
-        page = e2_page(cfg.n, cfg.k_max, f)
-        vass = vassiliev_e1_view(page)
-        return {
-            "field": f.spec(),
-            "n": cfg.n,
-            "k_max": cfg.k_max,
-            "truncation_boundary_col": -cfg.n,
-            "pages": {
-                "sinha_e2": _page_rows(page),
-                "vassiliev_e1": _page_rows(vass),
-            },
-        }
-    if cfg.command == "chord":
-        dims = [{"n_diag": i, "dim": dim_A(i, f)} for i in range(1, cfg.n + 1)]
-        return {"field": f.spec(), "n": cfg.n, "dim_A": dims}
-    if cfg.command == "crosscheck":
-        # the diagonal entries are truncation-independent once n >= 2*n_diag
-        rows = []
-        for i in range(1, cfg.n + 1):
-            a = dim_A(i, f)
-            e = e2_diagonal(i, f)
-            rows.append({"n_diag": i, "dim_A": a, "e2_diag": e, "equal": a == e})
-        return {"field": f.spec(), "n": cfg.n, "crosscheck": rows}
-    if cfg.command == "kancheck":
-        report = kan_unit_check(cfg.n, cfg.k_max, f)
-        degrees = [
-            {
-                "degree": t,
-                "lhs": report.lhs_dims.get(t, 0),
-                "rhs": report.rhs_dims.get(t, 0),
-                "equal": report.lhs_dims.get(t, 0) == report.rhs_dims.get(t, 0),
-            }
-            for t in report.degrees()
-        ]
-        return {
-            "field": f.spec(),
-            "n": cfg.n,
-            "k_max": cfg.k_max,
-            "kan_check": {"equal": report.equal, "total_degrees": degrees},
-        }
-    raise ValueError(f"unknown command {cfg.command!r}")
+# Each builder returns its command's part of the payload; ``run`` adds
+# ``field`` and ``n``.  They look the library names up in this module when
+# called, so a name patched here (``cli.dim_A``, ...) reaches them.
+def _e2(cfg: RunConfig, f: Field) -> dict:
+    page = e2_page(cfg.n, cfg.k_max, f)
+    return {
+        "k_max": cfg.k_max,
+        "truncation_boundary_col": -cfg.n,
+        "pages": {"sinha_e2": _page_rows(page), "vassiliev_e1": _page_rows(vassiliev_e1_view(page))},
+    }
 
 
-# command -> the payload key its output is read from; a cached payload
-# without it is corrupt
-_PAYLOAD_KEYS = {"e2": "pages", "chord": "dim_A", "crosscheck": "crosscheck", "kancheck": "kan_check"}
+def _chord(cfg: RunConfig, f: Field) -> dict:
+    return {"dim_A": [{"n_diag": i, "dim": dim_A(i, f)} for i in range(1, cfg.n + 1)]}
+
+
+def _crosscheck(cfg: RunConfig, f: Field) -> dict:
+    # the diagonal entries are truncation-independent once n >= 2*n_diag
+    rows = []
+    for i in range(1, cfg.n + 1):
+        a, e = dim_A(i, f), e2_diagonal(i, f)
+        rows.append({"n_diag": i, "dim_A": a, "e2_diag": e, "equal": a == e})
+    return {"crosscheck": rows}
+
+
+def _kancheck(cfg: RunConfig, f: Field) -> dict:
+    report = kan_unit_check(cfg.n, cfg.k_max, f)
+    degrees = []
+    for t in report.degrees():
+        lhs, rhs = report.lhs_dims.get(t, 0), report.rhs_dims.get(t, 0)
+        degrees.append({"degree": t, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs})
+    return {"k_max": cfg.k_max, "kan_check": {"equal": report.equal, "total_degrees": degrees}}
+
+
+# command -> (payload builder, payload key, table header, payload -> table
+# entries).  A cached payload without its key is corrupt; each entry holds
+# the header's keys, and an entry whose "equal" is false is a mismatch.
+_COMMANDS = {
+    "e2": (
+        _e2,
+        "pages",
+        ("page", "col", "row", "dim"),
+        lambda p: [dict(e, page=name) for name in sorted(p["pages"]) for e in p["pages"][name]],
+    ),
+    "chord": (_chord, "dim_A", ("n_diag", "dim"), lambda p: p["dim_A"]),
+    "crosscheck": (_crosscheck, "crosscheck", ("n_diag", "dim_A", "e2_diag", "equal"), lambda p: p["crosscheck"]),
+    "kancheck": (_kancheck, "kan_check", ("degree", "lhs", "rhs", "equal"), lambda p: p["kan_check"]["total_degrees"]),
+}
 
 
 def _check_capacity(cfg: RunConfig) -> None:
     """Raise CapacityError, before anything is allocated, when a degree
-    i <= n of ``chord`` or ``crosscheck`` has more than CAPACITY_LIMIT
-    chord diagrams ((2i-1)!!) or diagonal monomials.  ``e2`` checks its
-    columns itself, ``kancheck`` its depth.
+    i <= n of ``chord`` or ``crosscheck`` has more than CAPACITY_LIMIT chord
+    diagrams.  The diagonal column of degree i is no larger: its
+    monomials are the (2i-1)!! perfect matchings of 2i strands.  ``e2``
+    checks its columns itself, ``kancheck`` its depth.
     """
-    if cfg.command not in ("chord", "crosscheck"):
-        return
-    for i in range(1, cfg.n + 1):
-        sizes = {"chord diagrams": math.prod(range(1, 2 * i, 2))}
-        if cfg.command == "crosscheck":
-            sizes["diagonal monomials"] = normalized_dim_formula(2 * i, i)
-        for what, size in sizes.items():
-            if size > CAPACITY_LIMIT:
-                raise CapacityError(
-                    f"degree {i} has {size} {what}, over the capacity limit {CAPACITY_LIMIT}"
-                )
+    if cfg.command in ("chord", "crosscheck"):
+        check_diagram_capacity(cfg.n)
 
 
 def run(cfg: RunConfig) -> ResultRecord:
@@ -175,7 +156,7 @@ def run(cfg: RunConfig) -> ResultRecord:
     fp = cfg.fingerprint()
     cache = ResultCache(cfg.resolved_cache_dir())
     cached = cache.load(fp)
-    key = _PAYLOAD_KEYS[cfg.command]
+    build, key = _COMMANDS[cfg.command][:2]
     if cached is not None and key not in cached.payload:
         print(f"warning: ignoring corrupt cache file {cache.path(fp)}: no {key!r} in payload", file=sys.stderr)
         cached = None
@@ -183,7 +164,8 @@ def run(cfg: RunConfig) -> ResultRecord:
         print(f"cache hit: {fp[:12]}", file=sys.stderr)
         return cached
     start = time.perf_counter()
-    payload = _compute_payload(cfg)
+    f = cfg.field()
+    payload = {"field": f.spec(), "n": cfg.n, **build(cfg, f)}
     record = ResultRecord(
         fingerprint=fp,
         payload=payload,
@@ -197,47 +179,16 @@ def run(cfg: RunConfig) -> ResultRecord:
 def format_payload(payload: dict, fmt: str, command: str) -> str:
     if fmt == "json":
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown output format {fmt!r}")
+    header, entries = _COMMANDS[command][2:]
+    rows = [header] + [[str(e[h]) for h in header] for e in entries(payload)]
     if fmt == "csv":
-        return _format_csv(*_table(command, payload))
-    if fmt == "markdown":
-        return _format_markdown(*_table(command, payload))
-    raise ValueError(f"unknown output format {fmt!r}")
-
-
-# command -> (header, payload -> entries); each entry holds the header's keys
-_TABLES = {
-    "e2": (
-        ("page", "col", "row", "dim"),
-        lambda p: [dict(e, page=name) for name in sorted(p["pages"]) for e in p["pages"][name]],
-    ),
-    "chord": (("n_diag", "dim"), lambda p: p["dim_A"]),
-    "crosscheck": (("n_diag", "dim_A", "e2_diag", "equal"), lambda p: p["crosscheck"]),
-    "kancheck": (("degree", "lhs", "rhs", "equal"), lambda p: p["kan_check"]["total_degrees"]),
-}
-
-
-def _table(command: str, payload: dict):
-    """The (header, rows) table of a command's payload, for delimited output."""
-    header, entries = _TABLES[command]
-    return header, [[e[h] for h in header] for e in entries(payload)]
-
-
-def _format_csv(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _format_markdown(header, rows) -> str:
-    lines = [
-        "| " + " | ".join(str(h) for h in header) + " |",
-        "|" + "|".join(" --- " for _ in header) + "|",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(str(x) for x in row) + " |")
-    return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        return buf.getvalue()
+    rows.insert(1, ["---"] * len(header))
+    return "".join("| " + " | ".join(row) + " |\n" for row in rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact page tables for the truncated knot spectral sequence "
         "and chord-diagram space dimensions.",
     )
-    parser.add_argument("--command", required=True, choices=COMMANDS)
+    parser.add_argument("--command", required=True, choices=_COMMANDS)
     parser.add_argument("--n", type=int, required=True, help="truncation / maximal degree")
     parser.add_argument("--k-max", type=int, default=None, help="maximal complexity (rows up to 2*k-max)")
     parser.add_argument("--field", default="q", help='coefficient field: "q" or "fp:<prime>"')
@@ -282,20 +233,11 @@ def main(argv=None) -> int:
         print(f"error: capacity exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     sys.stdout.write(format_payload(record.payload, cfg.output_format, cfg.command))
-    if cfg.command == "crosscheck":
-        bad = [e for e in record.payload["crosscheck"] if not e["equal"]]
-        if bad:
-            for e in bad:
-                print(
-                    f"mismatch at n_diag={e['n_diag']}: dim_A={e['dim_A']} "
-                    f"!= e2_diag={e['e2_diag']}",
-                    file=sys.stderr,
-                )
-            return EXIT_MISMATCH
-    if cfg.command == "kancheck" and not record.payload["kan_check"]["equal"]:
-        print("kan check failed: total homology dimensions differ", file=sys.stderr)
-        return EXIT_MISMATCH
-    return EXIT_OK
+    header, entries = _COMMANDS[cfg.command][2:]
+    bad = [e for e in entries(record.payload) if e.get("equal") is False]
+    for e in bad:
+        print("mismatch: " + ", ".join(f"{h}={e[h]}" for h in header), file=sys.stderr)
+    return EXIT_MISMATCH if bad else EXIT_OK
 
 
 if __name__ == "__main__":

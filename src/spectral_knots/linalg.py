@@ -38,6 +38,14 @@ class ConsistencyError(RuntimeError):
     """A computed result violates a structural guarantee; signals a bug upstream."""
 
 
+# largest basis (chord diagrams, or monomials of one column) a request may build
+CAPACITY_LIMIT = 200_000
+
+
+class CapacityError(RuntimeError):
+    """The requested computation exceeds the configured resource bounds."""
+
+
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

@@ -26,17 +26,10 @@ from functools import lru_cache
 from math import comb
 
 from .conf_algebra import AlgebraElement, Monomial, _reduce_cached, basis_monomials, dim_Y
-from .linalg import ConsistencyError, Field, SparseMatrix, homology_dim
+from .linalg import CAPACITY_LIMIT, CapacityError, ConsistencyError, Field, SparseMatrix, homology_dim
 
 SINHA_E2 = "sinha_e2"
 VASSILIEV_E1 = "vassiliev_e1"
-
-# largest column dimension the page builder will attempt
-CAPACITY_LIMIT = 200_000
-
-
-class CapacityError(RuntimeError):
-    """The requested computation exceeds the configured resource bounds."""
 
 
 def _face_monomial(i: int, l: int, factors) -> tuple:
@@ -146,10 +139,9 @@ def normalized_basis(l: int, k: int):
     if l == 0:
         return (Monomial((), 0),) if k == 0 else ()
     out = []
-    for e in range(0, k + 1):
+    # e forest edges (at most l - 1) and d = k - e diagonals (at most l)
+    for e in range(max(0, k - l), min(k, l - 1) + 1):
         d = k - e
-        if d > l or e > l - 1:
-            continue
         for edges in _covering_forests(l, e, d):
             covered = {x for p in edges for x in p}
             rest = [s for s in range(1, l + 1) if s not in covered]
@@ -249,17 +241,19 @@ def e2_page(n: int, k_max: int, f: Field) -> PageTable:
         raise ValueError("truncation must be >= 1")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    # columns l > 2k are empty (k factors cover at most 2k strands), so only
-    # l <= 2k is estimated; column_homology checks the emptiness
+    # column l is empty unless l <= 2k (k factors cover at most 2k strands)
+    # and k <= 2l - 1 (at most l - 1 edges and l diagonals), so only those
+    # columns are estimated; column_homology checks the emptiness
     for l in range(1, n + 1):
-        for k in range((l + 1) // 2, k_max + 1):
+        for k in range((l + 1) // 2, min(k_max, 2 * l - 1) + 1):
             if normalized_dim_formula(l, k) > CAPACITY_LIMIT:
                 raise CapacityError(
                     f"column (l={l}, k={k}) exceeds capacity limit {CAPACITY_LIMIT}"
                 )
     entries = {}
     for k in range(0, k_max + 1):
-        hs = column_homology(n, k, f)
+        # by the same count every column l <= n is empty for k >= 2n
+        hs = column_homology(n, k, f) if k < 2 * n else [0] * (n + 1)
         for l in range(1, n + 1):
             entries[(-l, 2 * k)] = hs[l]
     return PageTable(entries, SINHA_E2, f, n)

@@ -1,7 +1,7 @@
 import pytest
 
 from oracles import naive_rank, slide_four_term_relations
-from spectral_knots import chords
+from spectral_knots import CapacityError, chords
 from spectral_knots.chords import (
     FOUR_TERM,
     ONE_TERM,
@@ -133,6 +133,15 @@ def test_dim_A_three_exhaustive_rank():
         dense[r][c] = int(v)
     assert m.rank() == naive_rank(dense)
     assert dim_A(3, Q) == 15 - m.rank() == 1
+
+
+def test_dim_A_checks_capacity_before_enumerating(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"enumerated {double_factorial(n)} diagrams")
+
+    monkeypatch.setattr(chords, "enumerate_diagrams", refuse)
+    with pytest.raises(CapacityError, match="degree 8 has 2027025 chord diagrams"):
+        dim_A(8, F2)
 
 
 def test_dim_A_rejects_nonpositive():

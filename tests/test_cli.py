@@ -121,6 +121,16 @@ def test_kancheck_large_k_max_stops_at_two_n_minus_one(capsys):
     }
 
 
+def test_e2_large_k_max_is_linear(capsys):
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, "--command", "e2", "--n", "3", "--k-max", "20000", "--field", "fp:2")
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_OK
+    rows = json.loads(out)["pages"]["sinha_e2"]
+    assert len(rows) == 3 * 20001
+    assert all(e["dim"] == 0 for e in rows if e["row"] > 2 * 5)
+
+
 def test_kancheck_capacity(capsys):
     code, _, err = invoke(capsys, "--command", "kancheck", "--n", "4", "--k-max", "1")
     assert code == EXIT_CAPACITY
@@ -140,6 +150,15 @@ def test_capacity_preflight_before_any_work(command, capsys, monkeypatch):
     assert "2027025 chord diagrams" in err
     # n = 7 (135135 diagrams) is still admitted
     cli._check_capacity(RunConfig(command=command, n=7, k_max=0, field_spec="q"))
+
+
+@pytest.mark.parametrize("command", ["chord", "crosscheck"])
+def test_huge_degree_exits_at_once(command, capsys):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "--command", command, "--n", "1000000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (EXIT_CAPACITY, "")
+    assert "degree 8 has 2027025 chord diagrams" in err
 
 
 def test_unwritable_cache_dir_warns_and_computes(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -262,6 +263,28 @@ def test_normalized_dim_formula_vanishes_above_two_k():
     for k in range(0, 8):
         for l in range(2 * k + 1, 2 * k + 30):
             assert normalized_dim_formula(l, k) == 0, (l, k)
+
+
+def test_normalized_dim_formula_vanishes_above_two_l_minus_one():
+    # l - 1 forest edges and l diagonals at most
+    for l in range(1, 10):
+        for k in range(2 * l, 2 * l + 30):
+            assert normalized_dim_formula(l, k) == 0, (l, k)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_diagonal_column_is_the_perfect_matchings(n):
+    # n edges covering 2n strands form a perfect matching: (2n-1)!! of them
+    assert normalized_dim_formula(2 * n, n) == math.prod(range(1, 2 * n, 2))
+
+
+@pytest.mark.parametrize("field", [Q, F2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_e2_rows_above_two_n_minus_one_are_zero(n, field):
+    top = e2_page(n, 2 * n - 1, field)
+    beyond = e2_page(n, 2 * n + 3, field)
+    zeros = {(-l, 2 * k): 0 for l in range(1, n + 1) for k in range(2 * n, 2 * n + 4)}
+    assert beyond.entries == {**top.entries, **zeros}
 
 
 def test_e2_capacity_loop_skips_empty_columns(monkeypatch):
