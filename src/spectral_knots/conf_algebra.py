@@ -36,6 +36,13 @@ def canonical_pair(i: int, j: int):
     return (i, j), 1
 
 
+def basis_order(factors):
+    """Flat sort key of a sorted factor tuple: the diagonal strands, a pad that
+    puts them diagonal-heavy first ({1} < {2} < {}), then the factors, which
+    meet no strand and between equal diagonals order as the off-diagonal ones."""
+    return tuple([i for (i, j) in factors if i == j]) + (_PAD,) + factors
+
+
 class Monomial:
     """Square-free product of generators on a fixed number of strands.
 
@@ -54,22 +61,12 @@ class Monomial:
         self.factors = factors
         self.strands = strands
 
-    def diagonal(self):
-        return tuple(i for (i, j) in self.factors if i == j)
-
-    def edges(self):
-        return tuple((i, j) for (i, j) in self.factors if i != j)
-
     def support(self) -> frozenset:
         return frozenset(x for p in self.factors for x in p)
 
     def is_basic(self) -> bool:
         bs = [b for (a, b) in self.factors if a != b]
         return len(bs) == len(set(bs))
-
-    def sort_key(self):
-        # pad the diagonal with a sentinel so {1} < {2} < {} (diagonal-heavy first)
-        return (self.diagonal() + (_PAD,), self.edges())
 
     def __eq__(self, other):
         return (
@@ -80,9 +77,6 @@ class Monomial:
 
     def __hash__(self):
         return hash((self.factors, self.strands))
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
 
     def __repr__(self):
         if not self.factors:
@@ -159,7 +153,7 @@ class AlgebraElement:
     def __repr__(self):
         if not self.terms:
             return "0"
-        parts = [f"{c!s}*{m!r}" for m, c in sorted(self.terms.items(), key=lambda t: t[0].sort_key())]
+        parts = [f"{c!s}*{m!r}" for m, c in sorted(self.terms.items(), key=lambda t: basis_order(t[0].factors))]
         return " + ".join(parts)
 
 
@@ -178,13 +172,14 @@ def _shared_larger(mono):
     return {b: al for b, al in by_larger.items() if len(al) >= 2}
 
 
-def reduce_squarefree(mono: frozenset, choose=None) -> dict:
+def reduce_squarefree(mono, choose=None) -> dict:
     """Reduce a square-free canonical monomial to the forest basis over Z.
 
-    ``mono`` is a frozenset of canonical (i, j) pairs.  Returns a map
-    frozenset -> int coefficient.  ``choose`` overrides the rewrite-pair
+    ``mono`` is an iterable of distinct canonical (i, j) pairs; the result maps
+    sorted factor tuples to int coefficients.  ``choose`` overrides the rewrite-pair
     strategy (used to exercise confluence); the default strategy is cached.
     """
+    mono = tuple(sorted(mono))
     if choose is None:
         return dict(_reduce_cached(mono))
 
@@ -195,12 +190,12 @@ def reduce_squarefree(mono: frozenset, choose=None) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _reduce_cached(mono: frozenset):
+def _reduce_cached(mono: tuple):
     return _reduce(mono, _default_choice, _reduce_cached)
 
 
-def _reduce(mono: frozenset, choose, recurse):
-    """One rewrite step by ``choose``, then ``recurse`` on each resulting monomial."""
+def _reduce(mono: tuple, choose, recurse):
+    """One rewrite step by ``choose``, then ``recurse`` on each resulting sorted factor tuple."""
     shared = _shared_larger(mono)
     if not shared:
         return ((mono, 1),)
@@ -214,11 +209,11 @@ def _reduce(mono: frozenset, choose, recurse):
 
 def _rewrite_step(mono, a1, a2, c):
     """Apply g(a1,c)g(a2,c) = g(a1,a2)g(a2,c) - g(a1,a2)g(a1,c) inside mono."""
-    rest = mono - {(a1, c), (a2, c)}
+    rest = tuple(p for p in mono if p != (a1, c) and p != (a2, c))
     for repl, sign in (((a1, a2), (a2, c)), 1), (((a1, a2), (a1, c)), -1):
         if any(p in rest for p in repl):
             continue  # recreated an existing factor: square, term dies
-        yield frozenset(rest) | set(repl), sign
+        yield tuple(sorted(rest + repl)), sign
 
 
 def _reduce_product(raw_pairs, choose=None) -> dict:
@@ -231,7 +226,7 @@ def _reduce_product(raw_pairs, choose=None) -> dict:
         canon.append(p)
     if len(set(canon)) != len(canon):
         return {}
-    out = reduce_squarefree(frozenset(canon), choose)
+    out = reduce_squarefree(canon, choose)
     return {m: sign * c for m, c in out.items()}
 
 
@@ -266,7 +261,7 @@ def basis_monomials(l: int, k: int):
             for bs in itertools.combinations(range(2, l + 1), e):
                 for as_ in itertools.product(*[range(1, b) for b in bs]):
                     out.append(Monomial(diag_pairs + list(zip(as_, bs)), l))
-    out.sort(key=Monomial.sort_key)
+    out.sort(key=lambda m: basis_order(m.factors))
     return tuple(out)
 
 

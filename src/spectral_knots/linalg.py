@@ -74,7 +74,8 @@ class Field:
 
     def __init__(self, p: int | None = None):
         if p is not None and not (p < 2**64 and _is_prime(p)):
-            raise ValueError(f"{p} is not below 2**64" if p >= 2**64 else f"{p} is not prime")
+            shown = p if abs(p) < 2**64 else f"a {p.bit_length()}-bit integer"  # size, not digits
+            raise ValueError(f"{shown} is not below 2**64" if p >= 2**64 else f"{shown} is not prime")
         self.p = p
 
     @classmethod
@@ -88,6 +89,7 @@ class Field:
     @classmethod
     def from_spec(cls, spec: str) -> "Field":
         """Parse a field spec string: "q" or "fp:<prime>"."""
+        shown = repr(spec) if len(spec) <= 24 else repr(spec[:24]) + "..."  # errors echo a prefix
         s = spec.strip().lower()
         if s == "q":
             return cls(None)
@@ -95,9 +97,9 @@ class Field:
             try:
                 p = int(s[3:])
             except ValueError:
-                raise ValueError(f"bad field spec {spec!r}") from None
+                raise ValueError(f"bad field spec {shown}") from None
             return cls(p)
-        raise ValueError(f"bad field spec {spec!r}")
+        raise ValueError(f"bad field spec {shown}")
 
     def spec(self) -> str:
         return "q" if self.p is None else f"fp:{self.p}"

@@ -25,31 +25,31 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import comb
 
-from .conf_algebra import AlgebraElement, Monomial, _reduce_cached, basis_monomials, dim_Y
+from .conf_algebra import AlgebraElement, Monomial, _reduce_cached, basis_monomials, basis_order, dim_Y
 from .linalg import CAPACITY_LIMIT, CapacityError, ConsistencyError, Field, SparseMatrix, homology_dim
 
 SINHA_E2 = "sinha_e2"
 VASSILIEV_E1 = "vassiliev_e1"
 
 
-def _face_monomial(i: int, l: int, factors) -> tuple:
-    """Face pullback of a single monomial, as the rewrite memo's own tuple of
-    (frozenset, int coefficient) pairs; () when it vanishes."""
+def _face_monomial(i: int, l: int, factors: tuple) -> tuple:
+    """Face pullback of a sorted factor tuple, as the rewrite memo's own tuple
+    of (factor tuple, int coefficient) pairs; () when it vanishes."""
     if 1 <= i <= l - 1:
-        # shrink {i, i+1} to i
-        raw = frozenset([(a - (a > i), b - (b > i)) for (a, b) in factors])
+        # shrink {i, i+1} to i; two factors merging make a square, which vanishes
+        raw = tuple(sorted([(a - (a > i), b - (b > i)) for (a, b) in factors]))
+        if any(p == q for p, q in zip(raw, raw[1:])):
+            return ()
     elif i == 0:
         if any(a == 1 for (a, _) in factors):  # a <= b, so a == 1 covers b == 1
             return ()
-        raw = frozenset([(a - 1, b - 1) for (a, b) in factors])
+        raw = tuple([(a - 1, b - 1) for (a, b) in factors])  # still sorted and distinct
     elif i == l:
         if any(b == l for (_, b) in factors):
             return ()
-        raw = frozenset(factors)
+        raw = factors
     else:
         raise ValueError(f"face index {i} out of range 0..{l}")
-    if len(raw) != len(factors):  # two factors merged: a square, which vanishes
-        return ()
     return _reduce_cached(raw)
 
 
@@ -91,22 +91,34 @@ def normalized_dim_formula(l: int, k: int) -> int:
     return sum((-1) ** j * comb(l, j) * dim_Y(l - j, k) for j in range(l + 1))
 
 
-def _covering_forests(l: int, e: int, max_diag: int) -> list:
-    """Forests of e edges (a,b), a < b, distinct b, leaving <= max_diag strands
-    uncovered.  Edges are chosen with b descending, so a strand above the
-    current b can only be covered by a diagonal factor; that bounds the DFS.
-    So does counting: the e_left edges still to come cover at most 2*e_left
-    of the strands 1..b that are still uncovered.
+@lru_cache(maxsize=None)
+def normalized_basis(l: int, k: int) -> tuple:
+    """Basic monomials of degree 2k on l strands in which every strand occurs,
+    as sorted factor tuples in ``basis_order``.
+
+    These span the l-th normalized column: monomials missing a strand are
+    exactly the degeneracy images.  A search picks e forest edges (a, b),
+    a < b, by distinct b descending, pruned once the edges still to come
+    (two strands each) and the diagonals left cannot cover the strands 1..b
+    still uncovered; the k - e diagonals take every uncovered strand and any
+    choice of the covered ones.
     """
+    if l == 0:
+        return ((),) if k == 0 else ()
     out = []
     covers = [0] * (l + 1)  # edges chosen so far touching each strand
+    edges = []
+    diagonal = [(x, x) for x in range(l + 1)]
 
-    def rec(b, e_left, edges, uncovered, diag_left):
+    def rec(b, e_left, uncovered, diag_left):
         # uncovered: strands 1..b touching no edge; diag_left: diagonals not yet forced
         if uncovered - 2 * e_left > diag_left:
             return
         if e_left == 0:
-            out.append(edges)
+            fixed = [diagonal[s] for s in range(1, l + 1) if not covers[s]] + edges
+            covered = [diagonal[s] for s in range(1, l + 1) if covers[s]]
+            for extra in itertools.combinations(covered, diag_left - uncovered):
+                out.append(tuple(sorted(fixed + list(extra))))
             return
         if b < 2:
             return
@@ -116,41 +128,19 @@ def _covering_forests(l: int, e: int, max_diag: int) -> list:
         for a in range(1, b):
             a_free = covers[a] == 0
             covers[a] += 1
-            rec(b - 1, e_left - 1, edges + ((a, b),), below - a_free, diag_left)
+            edges.append((a, b))
+            rec(b - 1, e_left - 1, below - a_free, diag_left)
+            edges.pop()
             covers[a] -= 1
         covers[b] -= 1
         # skip b entirely: if b is still uncovered it now needs a diagonal
         if diag_left >= b_free:
-            rec(b - 1, e_left, edges, below, diag_left - b_free)
+            rec(b - 1, e_left, below, diag_left - b_free)
 
-    rec(l, e, (), l, max_diag)
-    return out
-
-
-@lru_cache(maxsize=None)
-def normalized_basis(l: int, k: int):
-    """Basic monomials of degree 2k on l strands in which every strand occurs.
-
-    These span the l-th normalized column: monomials missing a strand are
-    exactly the degeneracy images.  Enumerated directly (forest edges plus a
-    diagonal completion of the uncovered strands) rather than by filtering
-    the full basis, whose size grows much faster.
-    """
-    if l == 0:
-        return (Monomial((), 0),) if k == 0 else ()
-    out = []
-    # e forest edges (at most l - 1) and d = k - e diagonals (at most l)
+    # e forest edges (at most l - 1) and k - e diagonals (at most l)
     for e in range(max(0, k - l), min(k, l - 1) + 1):
-        d = k - e
-        for edges in _covering_forests(l, e, d):
-            covered = {x for p in edges for x in p}
-            rest = [s for s in range(1, l + 1) if s not in covered]
-            if len(rest) > d:
-                continue
-            for extra in itertools.combinations(sorted(covered), d - len(rest)):
-                diag = sorted(rest + list(extra))
-                out.append(Monomial([(x, x) for x in diag] + list(edges), l))
-    out.sort(key=Monomial.sort_key)
+        rec(l, e, l, k - e)
+    out.sort(key=basis_order)
     return tuple(out)
 
 
@@ -165,13 +155,12 @@ def d1_matrix(l: int, k: int, f: Field) -> SparseMatrix:
     if l < 1:
         raise ValueError("d1 needs a positive column index")
     src = normalized_basis(l, k)
-    tgt = normalized_basis(l - 1, k)
-    tgt_index = {m.factors: r for r, m in enumerate(tgt)}
+    tgt_index = {m: r for r, m in enumerate(normalized_basis(l - 1, k))}
     entries = {}
     for c, mono in enumerate(src):
         acc = {}
         for i in range(0, l + 1):
-            img = _face_monomial(i, l, mono.factors)
+            img = _face_monomial(i, l, mono)
             if i in (0, l):
                 if img:
                     raise ConsistencyError(f"outer face {i} nonzero on normalized monomial {mono!r}")
@@ -182,10 +171,10 @@ def d1_matrix(l: int, k: int, f: Field) -> SparseMatrix:
         for m, coeff in acc.items():
             if coeff == 0:
                 continue
-            r = tgt_index.get(tuple(sorted(m)))
+            r = tgt_index.get(m)
             if r is not None:
                 entries[(r, c)] = coeff
-    return SparseMatrix(len(tgt), len(src), f, entries)
+    return SparseMatrix(len(tgt_index), len(src), f, entries)
 
 
 def column_homology(n: int, k: int, f: Field) -> list:
@@ -354,18 +343,18 @@ def _expanded_column_homology(n: int, k: int, f: Field) -> dict:
     bases = {}
     for r in range(0, n + 1):
         labels = list(itertools.combinations(range(1, n + 2), r + 1))
-        bases[r] = [(lab, m) for lab in labels for m in basis_monomials(r, k)]
+        bases[r] = [(lab, m.factors) for lab in labels for m in basis_monomials(r, k)]
 
     def dmat(r: int) -> SparseMatrix:
         src = bases[r]
-        tgt_index = {(lab, m.factors): i for i, (lab, m) in enumerate(bases[r - 1])}
+        tgt_index = {key: i for i, key in enumerate(bases[r - 1])}
         entries = {}
         for c, (lab, mono) in enumerate(src):
             for i in range(0, r + 1):
                 newlab = lab[:i] + lab[i + 1:]
                 sign = -1 if i % 2 else 1
-                for m, ic in _face_monomial(i, r, mono.factors):
-                    key = (tgt_index[(newlab, tuple(sorted(m)))], c)
+                for m, ic in _face_monomial(i, r, mono):
+                    key = (tgt_index[(newlab, m)], c)
                     entries[key] = entries.get(key, 0) + sign * ic
         return SparseMatrix(len(bases[r - 1]), len(src), f, entries)
 

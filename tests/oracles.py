@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 
 from spectral_knots.chords import FOUR_TERM, ChordDiagram, RelationVector, _matchings
-from spectral_knots.conf_algebra import AlgebraElement, basis_monomials, dim_Y
+from spectral_knots.conf_algebra import AlgebraElement, Monomial, basis_monomials, dim_Y
 from spectral_knots.linalg import Field, SparseMatrix
 from spectral_knots.sinha import degeneracy_pullback, face_pullback, normalized_basis
 
@@ -197,10 +197,10 @@ def face_sum_d1(l: int, k: int, field: Field) -> SparseMatrix:
     """The alternating sum of ``face_pullback`` on each normalized monomial,
     projected onto the normalized basis one column down."""
     src = normalized_basis(l, k)
-    tgt = {m: r for r, m in enumerate(normalized_basis(l - 1, k))}
+    tgt = {Monomial(m, l - 1): r for r, m in enumerate(normalized_basis(l - 1, k))}
     entries = {}
     for c, mono in enumerate(src):
-        x = AlgebraElement({mono: 1}, l, field)
+        x = AlgebraElement({Monomial(mono, l): 1}, l, field)
         img = AlgebraElement.zero(l - 1, field)
         for i in range(0, l + 1):
             term = face_pullback(i, x)

@@ -15,7 +15,7 @@ from oracles import (
     inclusion_exclusion_dim,
     word_quotient_dim,
 )
-from spectral_knots.chords import dim_A
+from spectral_knots.chords import dim_A, enumerate_diagrams
 from spectral_knots.cli import RunConfig, run
 from spectral_knots.conf_algebra import basis_monomials, dim_Y, reduce_squarefree
 from spectral_knots.linalg import Field
@@ -67,6 +67,14 @@ def test_criterion_1_optional_n_diag_5():
     with criterion(1, "optional n_diag = 5"):
         for f in (Q, F2, F3):
             assert dim_A(5, f) == e2_diagonal(5, f), f
+
+
+def test_criterion_1_diagonal_bases_coincide():
+    # k = n factors cover 2n strands only as n disjoint edges: the diagonal
+    # column's basis is the set of chord diagrams, in the same order
+    with criterion(1, "normalized_basis(2n, n) lists the chord diagrams, n_diag <= 5"):
+        for n in range(1, 6):
+            assert list(normalized_basis(2 * n, n)) == [d.pairs for d in enumerate_diagrams(n)], n
 
 
 def test_criterion_2_complex_property_suite():

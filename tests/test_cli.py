@@ -68,6 +68,19 @@ def test_modulus_above_two_to_the_64_is_usage_error(capsys):
     assert "2**64" in err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["fp:" + "9" * 5000, "fp:" + "9" * 4000, "fp:" + "8" * 4000, "x" * 3000],
+    ids=["5000-nines", "4000-nines", "4000-eights", "3000-x"],
+)
+def test_long_field_spec_error_is_one_short_line(capsys, spec):
+    code, out, err = invoke(capsys, "--command", "chord", "--n", "1", "--field", spec)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1
+    assert len(err.encode()) <= 120
+
+
 def test_bad_n_is_usage_error(capsys):
     code, _, _ = invoke(capsys, "--command", "e2", "--n", "0", "--k-max", "1")
     assert code == EXIT_USAGE
