@@ -36,7 +36,6 @@ from .sinha import (
     vassiliev_e1_view,
 )
 from .chords import (
-    ChordDiagram,
     RelationVector,
     dim_A,
     enumerate_diagrams,
@@ -49,7 +48,6 @@ __all__ = [
     "__version__",
     "AlgebraElement",
     "CapacityError",
-    "ChordDiagram",
     "ComplexError",
     "ConsistencyError",
     "Field",

@@ -83,7 +83,7 @@ class ResultCache:
             with open(path, "r", encoding="utf-8") as f:
                 data = json.load(f)
             record = ResultRecord.from_dict(data)
-        except (json.JSONDecodeError, KeyError, TypeError, OSError) as exc:
+        except (ValueError, RecursionError, KeyError, TypeError, OSError) as exc:
             print(f"warning: ignoring corrupt cache file {path}: {exc}", file=sys.stderr)
             return None
         if record.fingerprint != fp:

@@ -1,9 +1,11 @@
 """Linear chord diagrams and the weight-space dimensions.
 
 A diagram with n chords is a perfect matching of 2n ordered points on a
-line.  The quotient by the one-term relation (isolated chord = 0) and the
-four-term relations has dimension dim_A(n) over any field; the dual space
-of weight systems has the same dimension.
+line, stored as the sorted tuple of its chords (a, b), a < b; relation
+vectors key a diagram by its index in ``enumerate_diagrams(n)``.  The
+quotient by the one-term relation (isolated chord = 0) and the four-term
+relations has dimension dim_A(n) over any field; the dual space of weight
+systems has the same dimension.
 
 Four-term generation: fix a skeleton of n-1 chords plus one unmatched
 point (the anchor of the moving chord) on 2n-1 positions, distinguish a
@@ -26,43 +28,10 @@ ONE_TERM = "one_term"
 FOUR_TERM = "four_term"
 
 
-class ChordDiagram:
-    """Perfect matching of {1..2n}, stored as a sorted tuple of (a, b), a < b."""
-
-    __slots__ = ("pairs", "n")
-
-    def __init__(self, pairs):
-        pairs = tuple(sorted(tuple(sorted(p)) for p in pairs))
-        points = [x for p in pairs for x in p]
-        n = len(pairs)
-        if sorted(points) != list(range(1, 2 * n + 1)):
-            raise ValueError(f"not a perfect matching of 1..{2 * n}: {pairs}")
-        self.pairs = pairs
-        self.n = n
-
-    def has_isolated_chord(self) -> bool:
-        # all 2n positions are occupied, so isolated means adjacent endpoints
-        return any(b == a + 1 for (a, b) in self.pairs)
-
-    def reflect(self) -> "ChordDiagram":
-        m = 2 * self.n + 1
-        return ChordDiagram([(m - b, m - a) for (a, b) in self.pairs])
-
-    def __eq__(self, other):
-        return isinstance(other, ChordDiagram) and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
-
-    def __lt__(self, other):
-        return self.pairs < other.pairs
-
-    def __repr__(self):
-        return "".join(f"({a},{b})" for (a, b) in self.pairs)
-
-
 class RelationVector:
-    """Signed combination of diagrams; one- or four-term."""
+    """Signed combination of diagrams, one- or four-term: ``terms`` maps a
+    diagram's index in ``enumerate_diagrams(n)`` to its coefficient, so a
+    relation vector is one row of the relation matrix."""
 
     __slots__ = ("kind", "terms")
 
@@ -73,17 +42,10 @@ class RelationVector:
         self.terms = dict(terms)
 
     def key(self):
-        return tuple(sorted((d.pairs, c) for d, c in self.terms.items()))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RelationVector)
-            and self.kind == other.kind
-            and self.terms == other.terms
-        )
+        return tuple(sorted(self.terms.items()))
 
     def __repr__(self):
-        body = " ".join(f"{c:+d}*{d!r}" for d, c in sorted(self.terms.items(), key=lambda t: t[0].pairs))
+        body = " ".join(f"{c:+d}*[{i}]" for i, c in sorted(self.terms.items()))
         return f"<{self.kind} {body}>"
 
 
@@ -100,19 +62,22 @@ def _matchings(points):
 
 @functools.lru_cache(maxsize=1)
 def enumerate_diagrams(n: int) -> tuple:
-    """All (2n-1)!! diagrams with n chords, in first-point matching order;
-    the last degree asked for is memoized for the relation builders."""
+    """All (2n-1)!! diagrams with n chords as sorted pair tuples, in
+    first-point matching order; the last degree asked for is memoized for
+    the relation builders."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return tuple(ChordDiagram(m) for m in _matchings(tuple(range(1, 2 * n + 1))))
+    # each chord starts at the smallest unmatched point, so every tuple is sorted
+    return tuple(_matchings(tuple(range(1, 2 * n + 1))))
 
 
 def one_term_relations(n: int):
     """One relation per diagram containing an isolated chord."""
+    # all 2n points are endpoints, so isolated means adjacent endpoints
     return [
-        RelationVector(ONE_TERM, {d: 1})
-        for d in enumerate_diagrams(n)
-        if d.has_isolated_chord()
+        RelationVector(ONE_TERM, {i: 1})
+        for i, d in enumerate(enumerate_diagrams(n))
+        if any(b == a + 1 for (a, b) in d)
     ]
 
 
@@ -124,8 +89,7 @@ def four_term_relations(n: int):
     """
     if n < 2:
         raise ValueError("four-term relations need n >= 2")
-    diagrams = enumerate_diagrams(n)
-    index = {d.pairs: i for i, d in enumerate(diagrams)}
+    index = {d: i for i, d in enumerate(enumerate_diagrams(n))}
     npts = 2 * n - 1
     seen = set()
     out = []
@@ -150,23 +114,19 @@ def four_term_relations(n: int):
                 key = tuple(sorted(terms.items()))
                 if terms and key not in seen:
                     seen.add(key)
-                    out.append(RelationVector(FOUR_TERM, {diagrams[i]: c for i, c in terms.items()}))
+                    out.append(RelationVector(FOUR_TERM, terms))
     return out
 
 
 def relation_matrix(n: int, f: Field, relations=None) -> SparseMatrix:
     """Stack relation vectors as rows over the diagram basis of size (2n-1)!!."""
-    diagrams = enumerate_diagrams(n)
-    index = {d.pairs: i for i, d in enumerate(diagrams)}
+    cols = len(enumerate_diagrams(n))
     if relations is None:
         relations = one_term_relations(n)
         if n >= 2:
             relations = relations + four_term_relations(n)
-    entries = {}
-    for r, vec in enumerate(relations):
-        for d, c in vec.terms.items():
-            entries[(r, index[d.pairs])] = c
-    return SparseMatrix(len(relations), len(diagrams), f, entries)
+    entries = {(r, i): c for r, vec in enumerate(relations) for i, c in vec.terms.items()}
+    return SparseMatrix(len(relations), cols, f, entries)
 
 
 def check_diagram_capacity(n: int) -> None:

@@ -122,19 +122,17 @@ def _kancheck(cfg: RunConfig, f: Field) -> dict:
     return {"k_max": cfg.k_max, "kan_check": {"equal": report.equal, "total_degrees": degrees}}
 
 
-# command -> (payload builder, payload key, table header, payload -> table
-# entries).  A cached payload without its key is corrupt; each entry holds
-# the header's keys, and an entry whose "equal" is false is a mismatch.
+# command -> (payload builder, table header, payload -> table entries).  Each
+# entry holds the header's keys; an entry whose "equal" is false is a mismatch.
 _COMMANDS = {
     "e2": (
         _e2,
-        "pages",
         ("page", "col", "row", "dim"),
-        lambda p: [dict(e, page=name) for name in sorted(p["pages"]) for e in p["pages"][name]],
+        lambda p: [{**e, "page": name} for name in sorted(p["pages"]) for e in p["pages"][name]],
     ),
-    "chord": (_chord, "dim_A", ("n_diag", "dim"), lambda p: p["dim_A"]),
-    "crosscheck": (_crosscheck, "crosscheck", ("n_diag", "dim_A", "e2_diag", "equal"), lambda p: p["crosscheck"]),
-    "kancheck": (_kancheck, "kan_check", ("degree", "lhs", "rhs", "equal"), lambda p: p["kan_check"]["total_degrees"]),
+    "chord": (_chord, ("n_diag", "dim"), lambda p: p["dim_A"]),
+    "crosscheck": (_crosscheck, ("n_diag", "dim_A", "e2_diag", "equal"), lambda p: p["crosscheck"]),
+    "kancheck": (_kancheck, ("degree", "lhs", "rhs", "equal"), lambda p: p["kan_check"]["total_degrees"]),
 }
 
 
@@ -156,9 +154,14 @@ def run(cfg: RunConfig) -> ResultRecord:
     fp = cfg.fingerprint()
     cache = ResultCache(cfg.resolved_cache_dir())
     cached = cache.load(fp)
-    build, key = _COMMANDS[cfg.command][:2]
-    if cached is not None and key not in cached.payload:
-        print(f"warning: ignoring corrupt cache file {cache.path(fp)}: no {key!r} in payload", file=sys.stderr)
+    build, header, entries = _COMMANDS[cfg.command]
+    try:  # a cached table entry must be a dict holding every header key
+        readable = cached is None or all(
+            isinstance(e, dict) and e.keys() >= set(header) for e in entries(cached.payload))
+    except (KeyError, TypeError):
+        readable = False
+    if not readable:
+        print(f"warning: ignoring corrupt cache file {cache.path(fp)}: unreadable {cfg.command} table", file=sys.stderr)
         cached = None
     if cached is not None:
         print(f"cache hit: {fp[:12]}", file=sys.stderr)
@@ -181,7 +184,7 @@ def format_payload(payload: dict, fmt: str, command: str) -> str:
         return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     if fmt not in FORMATS:
         raise ValueError(f"unknown output format {fmt!r}")
-    header, entries = _COMMANDS[command][2:]
+    header, entries = _COMMANDS[command][1:]
     rows = [header] + [[str(e[h]) for h in header] for e in entries(payload)]
     if fmt == "csv":
         buf = io.StringIO()
@@ -233,7 +236,7 @@ def main(argv=None) -> int:
         print(f"error: capacity exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     sys.stdout.write(format_payload(record.payload, cfg.output_format, cfg.command))
-    header, entries = _COMMANDS[cfg.command][2:]
+    header, entries = _COMMANDS[cfg.command][1:]
     bad = [e for e in entries(record.payload) if e.get("equal") is False]
     for e in bad:
         print("mismatch: " + ", ".join(f"{h}={e[h]}" for h in header), file=sys.stderr)

@@ -38,7 +38,8 @@ class ConsistencyError(RuntimeError):
     """A computed result violates a structural guarantee; signals a bug upstream."""
 
 
-# largest basis (chord diagrams, or monomials of one column) a request may build
+# largest basis (chord diagrams, or monomials of one column) a request may
+# build, and the most entries an e2 table may hold
 CAPACITY_LIMIT = 200_000
 
 

@@ -230,6 +230,8 @@ def e2_page(n: int, k_max: int, f: Field) -> PageTable:
         raise ValueError("truncation must be >= 1")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
+    if n * (k_max + 1) > CAPACITY_LIMIT:
+        raise CapacityError(f"table of {n} columns by {k_max + 1} rows exceeds capacity limit {CAPACITY_LIMIT}")
     # column l is empty unless l <= 2k (k factors cover at most 2k strands)
     # and k <= 2l - 1 (at most l - 1 edges and l diagonals), so only those
     # columns are estimated; column_homology checks the emptiness
@@ -241,10 +243,11 @@ def e2_page(n: int, k_max: int, f: Field) -> PageTable:
                 )
     entries = {}
     for k in range(0, k_max + 1):
-        # by the same count every column l <= n is empty for k >= 2n
-        hs = column_homology(n, k, f) if k < 2 * n else [0] * (n + 1)
+        # by the same count column l is empty for k >= 2n or l > 2k; only
+        # columns up to 2k + 1 are built, so that emptiness is still checked
+        hs = column_homology(min(n, 2 * k + 1), k, f) if k < 2 * n else []
         for l in range(1, n + 1):
-            entries[(-l, 2 * k)] = hs[l]
+            entries[(-l, 2 * k)] = hs[l] if l < len(hs) else 0
     return PageTable(entries, SINHA_E2, f, n)
 
 

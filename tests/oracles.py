@@ -4,8 +4,9 @@ These deliberately avoid the library's production paths: a textbook dense
 Gaussian elimination and matrix product, the raw word-space presentation of the strand
 algebra (all ordered words modulo the full relation span), the
 inclusion-exclusion / degeneracy-image routes to normalized column
-dimensions, and the two assembled matrices built from public objects
-(one ChordDiagram per four-term slide, one ``face_pullback`` per face).
+dimensions, and the two assembled matrices built literally (each
+four-term slide canonicalised and validated as a perfect matching, one
+``face_pullback`` per face).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from spectral_knots.chords import FOUR_TERM, ChordDiagram, RelationVector, _matchings
+from spectral_knots.chords import FOUR_TERM, _matchings
 from spectral_knots.conf_algebra import AlgebraElement, Monomial, basis_monomials, dim_Y
 from spectral_knots.linalg import Field, SparseMatrix
 from spectral_knots.sinha import degeneracy_pullback, face_pullback, normalized_basis
@@ -164,10 +165,13 @@ def degeneracy_quotient_dim(l: int, k: int, field: Field) -> int:
 
 
 def slide_four_term_relations(n: int):
-    """Four-term vectors by literal slides: each slide builds a ChordDiagram.
+    """Four-term vectors by literal slides, as ``(kind, terms)`` with terms
+    keyed by sorted pair tuples.
 
     Skeleton, distinguished chord and slot order as in
-    ``chords.four_term_relations``; deduplicated on ``RelationVector.key``.
+    ``chords.four_term_relations``.  Each slide is canonicalised to a sorted
+    tuple of sorted pairs and must be a perfect matching of 1..2n; vectors
+    are deduplicated on their sorted terms.
     """
     npts = 2 * n - 1
     seen = set()
@@ -181,15 +185,15 @@ def slide_four_term_relations(n: int):
                     shift = lambda p: p + 1 if p > slot else p
                     pairs = [(shift(a), shift(b)) for (a, b) in skeleton]
                     pairs.append((slot + 1, shift(anchor)))
-                    d = ChordDiagram(pairs)
+                    d = tuple(sorted(tuple(sorted(p)) for p in pairs))
+                    if sorted(x for p in d for x in p) != list(range(1, 2 * n + 1)):
+                        raise ValueError(f"slide {d} is not a perfect matching of 1..{2 * n}")
                     acc[d] = acc.get(d, 0) + sign
                 acc = {d: c for d, c in acc.items() if c}
-                if not acc:
-                    continue
-                vec = RelationVector(FOUR_TERM, acc)
-                if vec.key() not in seen:
-                    seen.add(vec.key())
-                    out.append(vec)
+                key = tuple(sorted(acc.items()))
+                if acc and key not in seen:
+                    seen.add(key)
+                    out.append((FOUR_TERM, acc))
     return out
 
 

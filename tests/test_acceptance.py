@@ -72,9 +72,9 @@ def test_criterion_1_optional_n_diag_5():
 def test_criterion_1_diagonal_bases_coincide():
     # k = n factors cover 2n strands only as n disjoint edges: the diagonal
     # column's basis is the set of chord diagrams, in the same order
-    with criterion(1, "normalized_basis(2n, n) lists the chord diagrams, n_diag <= 5"):
-        for n in range(1, 6):
-            assert list(normalized_basis(2 * n, n)) == [d.pairs for d in enumerate_diagrams(n)], n
+    with criterion(1, "normalized_basis(2n, n) == enumerate_diagrams(n), n_diag <= 6"):
+        for n in range(1, 7):
+            assert normalized_basis(2 * n, n) == enumerate_diagrams(n), n
 
 
 def test_criterion_2_complex_property_suite():

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spectral_knots
 from spectral_knots.cache import ResultCache, ResultRecord, fingerprint, source_digest
@@ -43,25 +48,51 @@ def test_mutated_fingerprint_misses(tmp_path):
     assert cache.load(other) is None
     # a record whose stored fingerprint disagrees with its key is a miss too
     path = cache.path(fp)
-    data = json.loads(open(path).read())
+    with open(path) as f:
+        data = json.load(f)
     data["fingerprint"] = "0" * 64
     with open(path, "w") as f:
         json.dump(data, f)
     assert cache.load(fp) is None
 
 
-def test_truncated_file_recomputes(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "content",
+    [b'{"fingerprint": "tru', b"\xff\xfe{", b"[" * 200000],
+    ids=["truncated", "invalid-utf8", "deep-nesting"],
+)
+def test_truncated_file_recomputes(tmp_path, capsys, content):
     cache = ResultCache(str(tmp_path))
     fp = fingerprint({"command": "e2", "n": 2}, "0.1.0")
     cache.store(make_record(fp))
     path = cache.path(fp)
-    with open(path, "w") as f:
-        f.write('{"fingerprint": "tru')
+    with open(path, "wb") as f:
+        f.write(content)
     assert cache.load(fp) is None
     assert "corrupt cache" in capsys.readouterr().err
     # the slot is writable again afterwards
     cache.store(make_record(fp))
     assert cache.load(fp) is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=st.one_of(
+    st.binary(max_size=64),
+    st.builds(
+        lambda head, tail: head + tail,
+        st.sampled_from([b'{"fingerprint": ', b'{"payload": {', b"[[[["]),
+        st.binary(max_size=32),
+    ),
+))
+def test_arbitrary_bytes_never_raise(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = ResultCache(tmp)
+        fp = fingerprint({"command": "e2", "n": 2}, "0.1.0")
+        with open(cache.path(fp), "wb") as f:
+            f.write(content)
+        with contextlib.redirect_stderr(io.StringIO()):
+            loaded = cache.load(fp)
+    assert loaded is None or (isinstance(loaded, ResultRecord) and loaded.fingerprint == fp)
 
 
 @pytest.mark.parametrize(

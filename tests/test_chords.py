@@ -5,7 +5,6 @@ from spectral_knots import CapacityError, chords
 from spectral_knots.chords import (
     FOUR_TERM,
     ONE_TERM,
-    ChordDiagram,
     dim_A,
     enumerate_diagrams,
     four_term_relations,
@@ -34,27 +33,23 @@ def test_enumerate_counts():
 
 
 def test_enumerate_two_chords_contents():
-    got = {d.pairs for d in enumerate_diagrams(2)}
-    assert got == {((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))}
+    assert enumerate_diagrams(2) == (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))
 
 
 def test_enumerate_deterministic():
-    assert [d.pairs for d in enumerate_diagrams(3)] == [
-        d.pairs for d in enumerate_diagrams(3)
-    ]
+    first = enumerate_diagrams(3)
+    enumerate_diagrams(2)  # evict the memoized degree
+    assert enumerate_diagrams(3) == first
 
 
-def test_diagram_validation():
-    with pytest.raises(ValueError):
-        ChordDiagram([(1, 2), (2, 3)])
-    with pytest.raises(ValueError):
-        ChordDiagram([(1, 3)])
-
-
-def test_isolated_chord_detection():
-    assert ChordDiagram([(1, 2), (3, 4)]).has_isolated_chord()
-    assert ChordDiagram([(1, 4), (2, 3)]).has_isolated_chord()
-    assert not ChordDiagram([(1, 3), (2, 4)]).has_isolated_chord()
+def test_enumerated_diagrams_are_sorted_perfect_matchings():
+    for n in range(0, 6):
+        diagrams = enumerate_diagrams(n)
+        assert len(set(diagrams)) == len(diagrams) == double_factorial(n)
+        for d in diagrams:
+            assert all(a < b for (a, b) in d)
+            assert list(d) == sorted(d)
+            assert sorted(x for chord in d for x in chord) == list(range(1, 2 * n + 1))
 
 
 def test_one_term_single_chord():
@@ -66,7 +61,7 @@ def test_one_term_single_chord():
 
 def test_one_term_two_chords():
     rels = one_term_relations(2)
-    killed = {d.pairs for rel in rels for d in rel.terms}
+    killed = {enumerate_diagrams(2)[i] for rel in rels for i in rel.terms}
     assert killed == {((1, 2), (3, 4)), ((1, 4), (2, 3))}
 
 
@@ -81,9 +76,10 @@ def test_four_term_vector_shape():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_four_term_matches_literal_slides(n):
-    # same vectors, same order, same term order as one ChordDiagram per slide
-    got = [(v.kind, list(v.terms.items())) for v in four_term_relations(n)]
-    want = [(v.kind, list(v.terms.items())) for v in slide_four_term_relations(n)]
+    # same vectors, same order, same term order as the literal slides
+    diagrams = enumerate_diagrams(n)
+    got = [(v.kind, [(diagrams[i], c) for i, c in v.terms.items()]) for v in four_term_relations(n)]
+    want = [(kind, list(terms.items())) for kind, terms in slide_four_term_relations(n)]
     assert got == want
 
 
@@ -101,10 +97,9 @@ def test_four_term_needs_two_chords():
 
 def test_four_term_three_chords_ambient_space():
     rels = four_term_relations(3)
-    diagrams = set(enumerate_diagrams(3))
-    assert len(diagrams) == 15
+    assert len(enumerate_diagrams(3)) == 15
     for rel in rels:
-        assert set(rel.terms) <= diagrams
+        assert set(rel.terms) <= set(range(15))
 
 
 def test_four_term_deduplicated():
@@ -165,9 +160,13 @@ def test_dedup_invariance():
 def test_reflection_invariance():
     for n in (2, 3):
         base = relation_matrix(n, Q)
+        diagrams = enumerate_diagrams(n)
+        index = {d: i for i, d in enumerate(diagrams)}
+        m = 2 * n + 1
+        mirror = [index[tuple(sorted((m - b, m - a) for (a, b) in d))] for d in diagrams]
         rels = one_term_relations(n) + four_term_relations(n)
         reflected = [
-            type(rel)(rel.kind, {d.reflect(): c for d, c in rel.terms.items()})
+            type(rel)(rel.kind, {mirror[i]: c for i, c in rel.terms.items()})
             for rel in rels
         ]
         mat = relation_matrix(n, Q, relations=reflected)

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from spectral_knots import cli
+from spectral_knots import cli, sinha
 from spectral_knots.cache import ResultCache
 from spectral_knots.cli import (
     EXIT_CAPACITY,
@@ -144,6 +144,16 @@ def test_e2_large_k_max_is_linear(capsys):
     assert all(e["dim"] == 0 for e in rows if e["row"] > 2 * 5)
 
 
+def test_e2_table_over_capacity_prints_nothing(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a column before the table bound")
+
+    monkeypatch.setattr(sinha, "column_homology", refuse)
+    code, out, err = invoke(capsys, "--command", "e2", "--n", "1", "--k-max", "1000000000", "--field", "fp:2")
+    assert (code, out) == (EXIT_CAPACITY, "")
+    assert "capacity" in err
+
+
 def test_kancheck_capacity(capsys):
     code, _, err = invoke(capsys, "--command", "kancheck", "--n", "4", "--k-max", "1")
     assert code == EXIT_CAPACITY
@@ -187,7 +197,10 @@ def test_unwritable_cache_dir_warns_and_computes(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("payload", [[], {"field": "q", "n": 2}])
+@pytest.mark.parametrize(
+    "payload",
+    [[], {"field": "q", "n": 2}, {"dim_A": 5}, {"dim_A": [5]}, {"dim_A": [{}]}],
+)
 def test_corrupt_cached_payload_is_recomputed(fmt, payload, capsys):
     argv = ("--command", "chord", "--n", "2", "--format", fmt)
     code, expected, _ = invoke(capsys, *argv)

@@ -6,7 +6,7 @@ import pytest
 from oracles import degeneracy_quotient_dim, face_sum_d1, inclusion_exclusion_dim
 from spectral_knots.conf_algebra import AlgebraElement, Monomial, basis_monomials
 from spectral_knots import sinha
-from spectral_knots.linalg import ComplexError, Field
+from spectral_knots.linalg import CAPACITY_LIMIT, ComplexError, Field
 from spectral_knots.sinha import (
     SINHA_E2,
     VASSILIEV_E1,
@@ -299,6 +299,28 @@ def test_e2_capacity_loop_skips_empty_columns(monkeypatch):
     page = e2_page(30, 1, F2)
     # the table computed when every column was estimated: 60 zero entries
     assert page.entries == {(-l, 2 * k): 0 for l in range(1, 31) for k in (0, 1)}
+
+
+def test_e2_table_over_capacity_fails_before_any_column(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a column before the table bound")
+
+    monkeypatch.setattr(sinha, "column_homology", refuse)
+    with pytest.raises(CapacityError, match="table of 2 columns"):
+        e2_page(2, CAPACITY_LIMIT // 2, F2)
+
+
+def test_e2_builds_no_column_above_two_k_plus_one(monkeypatch):
+    want = e2_page(40, 2, F2)
+    real = sinha.d1_matrix
+
+    def guarded(l, k, f):
+        if l > 2 * k + 1:
+            raise AssertionError(f"built the empty column (l={l}, k={k})")
+        return real(l, k, f)
+
+    monkeypatch.setattr(sinha, "d1_matrix", guarded)
+    assert e2_page(40, 2, F2) == want
 
 
 def test_column_homology_rejects_a_nonempty_column_above_two_k(monkeypatch):
