@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -41,15 +40,31 @@ def source_digest(package_dir: str = _PACKAGE_DIR) -> str:
     return h.hexdigest()
 
 
-@dataclass
 class ResultRecord:
-    fingerprint: str
-    payload: dict
-    wall_time: float
-    timestamp: str
+    """One computed result: its run fingerprint, the payload the CLI prints,
+    the compute time in seconds and an ISO 8601 UTC timestamp."""
+
+    __slots__ = ("fingerprint", "payload", "wall_time", "timestamp")
+
+    def __init__(self, fingerprint: str, payload: dict, wall_time: float, timestamp: str):
+        self.fingerprint = fingerprint
+        self.payload = payload
+        self.wall_time = wall_time
+        self.timestamp = timestamp
+
+    def __eq__(self, other):
+        if not isinstance(other, ResultRecord):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The four fields as a plain dict; the payload is shared, not copied."""
+        return {
+            "fingerprint": self.fingerprint,
+            "payload": self.payload,
+            "wall_time": self.wall_time,
+            "timestamp": self.timestamp,
+        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ResultRecord":
@@ -96,8 +111,8 @@ class ResultCache:
         try:
             os.makedirs(self.cache_dir, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                json.dump(record.to_dict(), f, sort_keys=True)
+            with os.fdopen(fd, "w", encoding="utf-8") as f:  # dumps runs the C encoder, dump does not
+                f.write(json.dumps(record.to_dict(), sort_keys=True))
             os.replace(tmp, self.path(record.fingerprint))
         except OSError as exc:
             print(f"warning: result not cached, cannot write {self.cache_dir}: {exc}", file=sys.stderr)

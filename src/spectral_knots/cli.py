@@ -19,14 +19,10 @@ configuration and code version.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass
-from datetime import datetime, timezone
 
 from . import __version__
 from .cache import ResultCache, ResultRecord, fingerprint, source_digest
@@ -42,14 +38,19 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
 
-@dataclass
 class RunConfig:
-    command: str
-    n: int
-    k_max: int
-    field_spec: str
-    output_format: str = "json"
-    cache_dir: str | None = None
+    """One request: the command, its sizes and field, and the output options."""
+
+    __slots__ = ("command", "n", "k_max", "field_spec", "output_format", "cache_dir")
+
+    def __init__(self, command: str, n: int, k_max: int, field_spec: str,
+                 output_format: str = "json", cache_dir: str | None = None):
+        self.command = command
+        self.n = n
+        self.k_max = k_max
+        self.field_spec = field_spec
+        self.output_format = output_format
+        self.cache_dir = cache_dir
 
     def validate(self) -> None:
         if self.command not in _COMMANDS:
@@ -147,6 +148,14 @@ def _check_capacity(cfg: RunConfig) -> None:
         check_diagram_capacity(cfg.n)
 
 
+def _utc_timestamp() -> str:
+    """The current UTC time in ISO 8601, ``YYYY-MM-DDTHH:MM:SS[.ffffff]+00:00``
+    (the microseconds are left out when they are zero)."""
+    sec, us = divmod(time.time_ns() // 1000, 1_000_000)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(sec))
+    return f"{stamp}.{us:06d}+00:00" if us else f"{stamp}+00:00"
+
+
 def run(cfg: RunConfig) -> ResultRecord:
     """Execute a validated config, consulting and updating the cache."""
     cfg.validate()
@@ -173,7 +182,7 @@ def run(cfg: RunConfig) -> ResultRecord:
         fingerprint=fp,
         payload=payload,
         wall_time=time.perf_counter() - start,
-        timestamp=datetime.now(timezone.utc).isoformat(),
+        timestamp=_utc_timestamp(),
     )
     cache.store(record)
     return record
@@ -186,10 +195,8 @@ def format_payload(payload: dict, fmt: str, command: str) -> str:
         raise ValueError(f"unknown output format {fmt!r}")
     header, entries = _COMMANDS[command][1:]
     rows = [header] + [[str(e[h]) for h in header] for e in entries(payload)]
-    if fmt == "csv":
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(rows)
-        return buf.getvalue()
+    if fmt == "csv":  # cells are ints, bools and fixed names: none needs quoting
+        return "".join(",".join(row) + "\n" for row in rows)
     rows.insert(1, ["---"] * len(header))
     return "".join("| " + " | ".join(row) + " |\n" for row in rows)
 

@@ -23,7 +23,6 @@ leading 1 and rows hold residues.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 class ShapeError(ValueError):
@@ -107,12 +106,13 @@ class Field:
 
     def coerce(self, x):
         """Normalize an int or Fraction into this field; integral rationals become int."""
+        if type(x) is int:
+            return x if self.p is None else x % self.p
+        from fractions import Fraction  # loaded only once a non-int scalar arrives
+
         if self.p is None:
-            if type(x) is not int:
-                x = Fraction(x)
-                if x.denominator == 1:
-                    x = x.numerator
-            return x
+            x = Fraction(x)
+            return x.numerator if x.denominator == 1 else x
         if isinstance(x, Fraction):
             den = x.denominator % self.p
             if den == 0:

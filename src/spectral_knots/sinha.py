@@ -21,7 +21,6 @@ cross-check, see tests):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import comb
 
@@ -295,12 +294,14 @@ def vassiliev_e1_view(p: PageTable) -> PageTable:
     return PageTable(out, VASSILIEV_E1, p.field, p.truncation)
 
 
-@dataclass
 class KanReport:
     """Total-degree homology dimensions of both sides of the comparison map."""
 
-    lhs_dims: dict = dc_field(default_factory=dict)
-    rhs_dims: dict = dc_field(default_factory=dict)
+    __slots__ = ("lhs_dims", "rhs_dims")
+
+    def __init__(self, lhs_dims: dict | None = None, rhs_dims: dict | None = None):
+        self.lhs_dims = {} if lhs_dims is None else lhs_dims
+        self.rhs_dims = {} if rhs_dims is None else rhs_dims
 
     def degrees(self):
         return sorted(set(self.lhs_dims) | set(self.rhs_dims))

@@ -33,6 +33,24 @@ def test_roundtrip(tmp_path):
     assert loaded == record
 
 
+def test_records_differing_in_one_field_are_unequal():
+    fp = fingerprint({"command": "e2", "n": 2}, "0.1.0")
+    record = make_record(fp)
+    for field, value in (("fingerprint", "0" * 64), ("payload", {}), ("wall_time", 0.5), ("timestamp", "")):
+        data = record.to_dict()
+        data[field] = value
+        assert ResultRecord(**data) != record
+
+
+def test_store_writes_one_json_dumps_without_copying(tmp_path):
+    cache = ResultCache(str(tmp_path))
+    record = make_record(fingerprint({"command": "e2", "n": 2}, "0.1.0"))
+    assert record.to_dict()["payload"] is record.payload
+    cache.store(record)
+    with open(cache.path(record.fingerprint), "rb") as f:
+        assert f.read() == json.dumps(record.to_dict(), sort_keys=True).encode("utf-8")
+
+
 def test_fingerprint_sensitivity():
     a = fingerprint({"command": "e2", "n": 2}, "0.1.0")
     b = fingerprint({"command": "e2", "n": 3}, "0.1.0")

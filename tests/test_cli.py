@@ -1,5 +1,12 @@
+import csv
+import io
 import json
+import os
+import re
+import subprocess
+import sys
 import time
+from datetime import datetime, timezone
 
 import pytest
 
@@ -320,3 +327,56 @@ def test_run_records_are_fingerprint_stable():
 def test_format_payload_rejects_unknown():
     with pytest.raises(ValueError):
         format_payload({}, "yaml", "e2")
+
+
+# modules no command needs at run time; each pulls in more (inspect, ast, decimal, ...)
+UNNEEDED_AT_LAUNCH = ("dataclasses", "inspect", "datetime", "csv", "fractions", "decimal")
+
+
+def test_cli_import_loads_no_unneeded_module():
+    code = (
+        "import sys; before = set(sys.modules); import spectral_knots.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True
+    ).stdout.split()
+    assert "spectral_knots.cli" in loaded
+    assert set(loaded) & set(UNNEEDED_AT_LAUNCH) == set()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        RunConfig(command="e2", n=3, k_max=2, field_spec="q"),
+        RunConfig(command="chord", n=4, k_max=0, field_spec="fp:2"),
+        RunConfig(command="crosscheck", n=3, k_max=0, field_spec="q"),
+        RunConfig(command="kancheck", n=2, k_max=3, field_spec="fp:3"),
+    ],
+    ids=lambda cfg: cfg.command,
+)
+def test_csv_matches_the_csv_module(cfg):
+    payload = run(cfg).payload
+    header, entries = cli._COMMANDS[cfg.command][1:]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header] + [[e[h] for h in header] for e in entries(payload)])
+    assert format_payload(payload, "csv", cfg.command) == buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "ns", [0, 1_700_000_000_000_000_000, 1_700_000_000_123_456_789, 951_868_799_999_999_999, 4_102_444_800_000_001_000]
+)
+def test_timestamp_is_isoformat_utc(ns, monkeypatch):
+    sec, us = divmod(ns // 1000, 1_000_000)
+    expected = datetime.fromtimestamp(sec, timezone.utc).replace(microsecond=us).isoformat()
+    monkeypatch.setattr(time, "time_ns", lambda: ns)
+    assert cli._utc_timestamp() == expected
+
+
+def test_run_stamps_the_current_utc_time():
+    before = datetime.now(timezone.utc).replace(microsecond=0)
+    stamp = run(RunConfig(command="chord", n=1, k_max=0, field_spec="q")).timestamp
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d{6})?\+00:00", stamp)
+    assert before <= datetime.fromisoformat(stamp) <= datetime.now(timezone.utc)

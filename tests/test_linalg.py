@@ -67,6 +67,46 @@ def test_coerce():
         f7.coerce(Fraction(1, 7))
 
 
+P61 = 2**61 - 1
+
+
+def _reference_coerce(f, x):
+    """Reduction of ``x`` through ``Fraction``: the value over Q, the residue over F_p."""
+    x = Fraction(x)
+    if f.p is None:
+        return x
+    if x.denominator % f.p == 0:
+        raise ZeroDivisionError
+    return x.numerator * pow(x.denominator, -1, f.p) % f.p
+
+
+SCALARS = st.one_of(
+    st.integers(),
+    st.integers(-(2**130), 2**130),
+    st.booleans(),
+    st.fractions(),
+    # denominators with a factor of 2, 3 or 2^61 - 1, or none
+    st.builds(lambda a, b, m: Fraction(a, b * m), st.integers(), st.integers(1, 50), st.sampled_from([1, 2, 3, P61])),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(f=st.sampled_from([Q, F2, Field.prime(3), Field.prime(P61)]), x=SCALARS)
+def test_coerce_matches_fraction_reference(f, x):
+    try:
+        expected = _reference_coerce(f, x)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            f.coerce(x)
+        return
+    got = f.coerce(x)
+    assert got == expected
+    if f.p is None:
+        assert type(got) is (int if expected.denominator == 1 else Fraction)
+    else:
+        assert type(got) is int and 0 <= got < f.p
+
+
 def test_rank_identity():
     assert SparseMatrix.identity(3, Q).rank() == 3
 
