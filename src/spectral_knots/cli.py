@@ -136,6 +136,9 @@ _COMMANDS = {
     "kancheck": (_kancheck, ("degree", "lhs", "rhs", "equal"), lambda p: p["kan_check"]["total_degrees"]),
 }
 
+# the type of each table cell; every other header key holds an int (not a bool)
+_CELL_TYPES = {"page": str, "equal": bool}
+
 
 def _check_capacity(cfg: RunConfig) -> None:
     """Raise CapacityError, before anything is allocated, when a degree
@@ -164,9 +167,10 @@ def run(cfg: RunConfig) -> ResultRecord:
     cache = ResultCache(cfg.resolved_cache_dir())
     cached = cache.load(fp)
     build, header, entries = _COMMANDS[cfg.command]
-    try:  # a cached table entry must be a dict holding every header key
+    try:  # a cached table entry must be a dict with a cell of the right type per header key
         readable = cached is None or all(
-            isinstance(e, dict) and e.keys() >= set(header) for e in entries(cached.payload))
+            isinstance(e, dict) and all(type(e.get(h)) is _CELL_TYPES.get(h, int) for h in header)
+            for e in entries(cached.payload))
     except (KeyError, TypeError):
         readable = False
     if not readable:

@@ -7,17 +7,20 @@ the `Field` that interprets them, and their constructors are the only place
 where a scalar is reduced into it (`Field.coerce`); in between, scalars
 meet only plain `+`, `-` and `*`.
 
-Every rank goes through one eliminator, over Q or F_p alike, and one pivot
-step (`_pivot`) is the only code that updates a row.  A structured presolve
-(LaMacchia & Odlyzko, CRYPTO '90) first pivots on every row of weight 1 or
-2: a weight-1 row takes out its column, a weight-2 row merges two columns.
-One left-to-right sweep over the columns then pivots on the sparsest active
-row of each column, ties broken by lowest row index; fill-in lands only
-right of the pivot column, so the pivot search never rescans.  Over Q the
-rows are cleared of denominators and kept primitive: each updated row is
-divided by the gcd of its entries, which bounds coefficient swell by the
-minors of the integer matrix.  Over F_p each pivot row is scaled to a
-leading 1 and rows hold residues.
+Over F_2 a rank is an XOR basis of packed-int lines (`_rank_f2`): one XOR
+per row update, and at most min(rows, cols)**2 / 8 bytes of basis.
+
+Every other rank goes through one eliminator, over Q or odd F_p alike,
+and one pivot step (`_pivot`) is the only code that updates a row.  A
+structured presolve (LaMacchia & Odlyzko, CRYPTO '90) first pivots on every
+row of weight 1 or 2: a weight-1 row takes out its column, a weight-2 row
+merges two columns.  One left-to-right sweep over the columns then pivots
+on the sparsest active row of each column, ties broken by lowest row index;
+fill-in lands only right of the pivot column, so the pivot search never
+rescans.  Over Q the rows are cleared of denominators and kept primitive:
+each updated row is divided by the gcd of its entries, which bounds
+coefficient swell by the minors of the integer matrix.  Over F_p each pivot
+row is scaled to a leading 1 and rows hold residues.
 """
 
 from __future__ import annotations
@@ -212,6 +215,8 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero, {self.field.spec()})"
 
     def rank(self) -> int:
+        if self.field.p == 2:
+            return _rank_f2(self.entries, self.rows < self.cols)
         rows = {}
         for (r, c), v in self.entries.items():
             rows.setdefault(r, {})[c] = v
@@ -309,6 +314,38 @@ def _eliminate(rows, p) -> int:
             _pivot(rows, col_rows, min(cand, key=lambda i: (len(rows[i]), i)), pc, p)
             rank += 1
     return rank
+
+
+def _rank_f2(entries, transpose) -> int:
+    """Rank over F_2 of the matrix whose nonzero entries sit at the keys of
+    ``entries``; the values are not read.
+
+    The keys are grouped into one list per row, or per column when
+    ``transpose`` is set (pass it when the matrix is wider than tall, so that
+    the lines run along the longer side).  In increasing index order, each
+    line is packed, only when its turn comes, into one int with index 0 on
+    the highest bit, then reduced against a basis of packed lines keyed by
+    leading bit: each step is one XOR.  The basis holds at most
+    min(rows, cols) ints of as many bits, at most min(rows, cols)**2 / 8
+    bytes.
+    """
+    lines = {}
+    for r, c in entries:
+        if transpose:
+            r, c = c, r
+        lines.setdefault(r, []).append(c)
+    top = max(map(max, lines.values()), default=0)
+    basis = {}
+    for k in sorted(lines):
+        x = 0
+        for i in lines[k]:
+            x |= 1 << (top - i)
+        while x:
+            y = basis.setdefault(x.bit_length(), x)
+            if y is x:
+                break
+            x ^= y
+    return len(basis)
 
 
 def homology_dim(differentials) -> list:

@@ -203,19 +203,15 @@ def test_unwritable_cache_dir_warns_and_computes(tmp_path, monkeypatch, capsys):
     assert blocker.read_text() == "not a directory"
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize(
-    "payload",
-    [[], {"field": "q", "n": 2}, {"dim_A": 5}, {"dim_A": [5]}, {"dim_A": [{}]}],
-)
-def test_corrupt_cached_payload_is_recomputed(fmt, payload, capsys):
-    argv = ("--command", "chord", "--n", "2", "--format", fmt)
+def _assert_corrupt_payload_recomputed(capsys, command, fmt, payload):
+    argv = ("--command", command, "--n", "2", "--format", fmt)
     code, expected, _ = invoke(capsys, *argv)
     assert code == EXIT_OK
-    cfg = RunConfig(command="chord", n=2, k_max=0, field_spec="q")
+    cfg = RunConfig(command=command, n=2, k_max=0, field_spec="q")
     path = ResultCache(cfg.resolved_cache_dir()).path(cfg.fingerprint())
     with open(path) as f:
         data = json.load(f)
+    good = data["payload"]
     data["payload"] = payload  # right fingerprint, wrong payload
     with open(path, "w") as f:
         json.dump(data, f)
@@ -225,10 +221,33 @@ def test_corrupt_cached_payload_is_recomputed(fmt, payload, capsys):
     assert "cache hit" not in err
     # the recomputed result overwrote the file and is served from then on
     with open(path) as f:
-        assert json.load(f)["payload"]["dim_A"] == [{"n_diag": 1, "dim": 0}, {"n_diag": 2, "dim": 1}]
+        assert json.load(f)["payload"] == good
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (EXIT_OK, expected)
     assert "cache hit" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [], {"field": "q", "n": 2}, {"dim_A": 5}, {"dim_A": [5]}, {"dim_A": [{}]},
+        # every key there, one cell of the wrong type
+        {"dim_A": [{"n_diag": 1, "dim": 0}, {"n_diag": 2, "dim": "1,2"}]},
+        {"dim_A": [{"n_diag": 1, "dim": 0}, {"n_diag": 2, "dim": True}]},
+        {"dim_A": [{"n_diag": 1.0, "dim": 0}, {"n_diag": 2, "dim": 1}]},
+    ],
+)
+def test_corrupt_cached_payload_is_recomputed(fmt, payload, capsys):
+    _assert_corrupt_payload_recomputed(capsys, "chord", fmt, payload)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("equal", ["false", 0, None])
+def test_cached_crosscheck_with_untyped_equal_is_recomputed(fmt, equal, capsys):
+    rows = [{"n_diag": 1, "dim_A": 0, "e2_diag": 0, "equal": True},
+            {"n_diag": 2, "dim_A": 1, "e2_diag": 1, "equal": equal}]
+    _assert_corrupt_payload_recomputed(capsys, "crosscheck", fmt, {"field": "q", "n": 2, "crosscheck": rows})
 
 
 def test_chord_command(capsys):

@@ -1,6 +1,7 @@
 """Frontier values pinned to published ones; deselected by default, run
 with ``python -m pytest -m slow``."""
 
+import json
 import os
 import subprocess
 import sys
@@ -30,17 +31,41 @@ def test_degree_six_over_q_is_bar_natans_nine():
     assert dim_A(6, Q) == e2_diagonal(6, Q) == 9
 
 
+# VmHWM, the peak RSS of the process image: a child's ru_maxrss would also
+# count the high-water mark its parent had at the exec, which, in a pytest
+# process that has run the n = 6 tests above, is larger than the bounds below
+_PRINT_PEAK = (
+    "import sys\n"
+    "with open('/proc/self/status') as f:\n"
+    "    print(next(l.split()[1] for l in f if l.startswith('VmHWM:')), file=sys.stderr)\n"
+)
+
+
+def _run_for_peak(script, tmp_path):
+    """Run ``script`` in a fresh interpreter: (its stdout, its peak RSS in KiB)."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), SPECTRAL_KNOTS_CACHE=str(tmp_path / "cache"))
+    out = subprocess.run([sys.executable, "-c", script + _PRINT_PEAK], env=env, capture_output=True, text=True,
+                         check=True)
+    return out.stdout, int(out.stderr.split()[-1])
+
+
 @pytest.mark.slow
-def test_degree_seven_column_basis_fits_in_memory():
-    # the n = 7 column next to the diagonal, in a fresh process so that its
-    # peak RSS is its own (ru_maxrss is in KiB on Linux)
-    script = (
-        "import resource\n"
-        "from spectral_knots.sinha import normalized_basis\n"
-        "print(len(normalized_basis(13, 7)), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    size, peak_kib = map(int, out.stdout.split())
-    assert size == normalized_dim_formula(13, 7) == 675675
+def test_degree_seven_column_basis_fits_in_memory(tmp_path):
+    # the n = 7 column next to the diagonal
+    out, peak_kib = _run_for_peak(
+        "from spectral_knots.sinha import normalized_basis\nprint(len(normalized_basis(13, 7)))\n", tmp_path)
+    assert int(out) == normalized_dim_formula(13, 7) == 675675
     assert peak_kib < 450 * 1024
+
+
+@pytest.mark.slow
+def test_degree_six_crosscheck_over_f2_fits_in_memory(tmp_path):
+    # a cold crosscheck up to n = 6; the F_2 ranks hold no dict rows and no
+    # presolve state
+    out, peak_kib = _run_for_peak(
+        "from spectral_knots.cli import main\nmain(['--command', 'crosscheck', '--n', '6', '--field', 'fp:2'])\n",
+        tmp_path)
+    rows = json.loads(out)["crosscheck"]
+    assert all(r["equal"] for r in rows)
+    assert rows[-1] == {"n_diag": 6, "dim_A": 9, "e2_diag": 9, "equal": True}
+    assert peak_kib < 135 * 1024

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -7,15 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_product, naive_rank
+from spectral_knots.chords import relation_matrix
 from spectral_knots.linalg import (
     ComplexError,
     Field,
     ShapeError,
     SparseMatrix,
+    _eliminate,
     _is_prime,
     _presolve,
+    _rank_f2,
     homology_dim,
 )
+from spectral_knots.sinha import d1_matrix
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -287,6 +292,46 @@ def test_prime_rank_matches_dense_oracle(rows, p):
 @given(sparse_matrix)
 def test_sparse_rational_rank_matches_dense_oracle(rows):
     assert mat(rows).rank() == naive_rank(rows)
+
+
+@st.composite
+def f2_matrix(draw):
+    """Up to 150 x 150, either side the longer, so that packed lines span
+    several machine words; entries +-2 vanish mod 2, and some lines (rows or
+    columns) are zero or repeat another."""
+    rows, cols = draw(st.integers(1, 150)), draw(st.integers(1, 150))
+    density = draw(st.sampled_from([0.02, 0.1, 0.5]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    dense = [[rng.choice((1, -1, 2, -2, 3)) if rng.random() < density else 0 for _ in range(cols)]
+             for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 3))):
+        dense[rng.randrange(rows)] = [0] * cols
+        dense[rng.randrange(rows)] = list(dense[rng.randrange(rows)])
+    for _ in range(draw(st.integers(0, 3))):
+        zero, dup, src = rng.randrange(cols), rng.randrange(cols), rng.randrange(cols)
+        for row in dense:
+            row[zero] = 0
+            row[dup] = row[src]
+    return dense
+
+
+@settings(max_examples=60, deadline=None)
+@given(f2_matrix())
+def test_f2_rank_matches_dense_oracle(dense):
+    m = mat(dense, F2)
+    rank = naive_rank(dense, 2)
+    assert m.rank() == rank
+    # packed over the columns or over the rows, the rank is the same
+    assert _rank_f2(m.entries, False) == _rank_f2(m.entries, True) == rank
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_f2_rank_matches_dict_sweep_on_real_matrices(n):
+    for m in (d1_matrix(2 * n, n, F2), relation_matrix(n, F2)):
+        rows = {}
+        for (r, c), v in m.entries.items():
+            rows.setdefault(r, {})[c] = v
+        assert m.rank() == _rank_f2(m.entries, m.rows < m.cols) == _eliminate(rows, 2), m
 
 
 def presolve(dense, p=None):
