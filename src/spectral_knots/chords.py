@@ -5,7 +5,10 @@ line, stored as the sorted tuple of its chords (a, b), a < b; relation
 vectors key a diagram by its index in ``enumerate_diagrams(n)``.  The
 quotient by the one-term relation (isolated chord = 0) and the four-term
 relations has dimension dim_A(n) over any field; the dual space of weight
-systems has the same dimension.
+systems has the same dimension.  A one-term vector kills a single diagram,
+so ``relation_matrix`` takes that quotient first: it keeps a column only
+for the diagrams no one-term vector kills and ranks the four-term vectors
+restricted to them.
 
 Four-term generation: fix a skeleton of n-1 chords plus one unmatched
 point (the anchor of the moving chord) on 2n-1 positions, distinguish a
@@ -31,7 +34,8 @@ FOUR_TERM = "four_term"
 class RelationVector:
     """Signed combination of diagrams, one- or four-term: ``terms`` maps a
     diagram's index in ``enumerate_diagrams(n)`` to its coefficient, so a
-    relation vector is one row of the relation matrix."""
+    relation vector is one row of the relation matrix.  The dict is kept as
+    given, not copied."""
 
     __slots__ = ("kind", "terms")
 
@@ -39,7 +43,7 @@ class RelationVector:
         if kind not in (ONE_TERM, FOUR_TERM):
             raise ValueError(f"unknown relation kind {kind!r}")
         self.kind = kind
-        self.terms = dict(terms)
+        self.terms = terms
 
     def key(self):
         return tuple(sorted(self.terms.items()))
@@ -82,16 +86,17 @@ def one_term_relations(n: int):
 
 
 def four_term_relations(n: int):
-    """All four-term vectors from skeleton/chord/moving-endpoint data, deduplicated.
+    """All nonzero four-term vectors from skeleton/chord/moving-endpoint data.
 
     Each slide is renumbered to a sorted pair tuple and looked up in the
-    enumerated basis; a tuple outside it is a ``ConsistencyError``.
+    enumerated basis; a tuple outside it is a ``ConsistencyError``.  No
+    vector repeats (checked for n <= 7), and a repeated row could not
+    change a rank, so none is held to deduplicate against.
     """
     if n < 2:
         raise ValueError("four-term relations need n >= 2")
     index = {d: i for i, d in enumerate(enumerate_diagrams(n))}
     npts = 2 * n - 1
-    seen = set()
     out = []
     for anchor in range(1, npts + 1):
         others = tuple(p for p in range(1, npts + 1) if p != anchor)
@@ -111,22 +116,41 @@ def four_term_relations(n: int):
                 for slot, sign in ((b1 - 1, 1), (b1, -1), (b2 - 1, 1), (b2, -1)):
                     acc[at[slot]] = acc.get(at[slot], 0) + sign
                 terms = {i: c for i, c in acc.items() if c}
-                key = tuple(sorted(terms.items()))
-                if terms and key not in seen:
-                    seen.add(key)
+                if terms:
                     out.append(RelationVector(FOUR_TERM, terms))
     return out
 
 
+def _drain(vectors: list):
+    """Yield the items of a list nothing else holds in order, releasing each
+    one as it is taken, so a vector is freed once it has become a row."""
+    vectors.reverse()
+    while vectors:
+        yield vectors.pop()
+
+
 def relation_matrix(n: int, f: Field, relations=None) -> SparseMatrix:
-    """Stack relation vectors as rows over the diagram basis of size (2n-1)!!."""
-    cols = len(enumerate_diagrams(n))
+    """Relation vectors as rows over the one-term quotient of the diagrams.
+
+    The columns are the diagrams no ``one_term_relations(n)`` vector kills,
+    numbered in enumeration order.  Each row is one of ``relations`` (by
+    default ``four_term_relations(n)``) restricted to those columns; a row
+    left empty is dropped.  ``cols - rank`` is the dimension of the
+    diagrams modulo the one-term relations and ``relations``.
+    """
+    killed = {i for vec in one_term_relations(n) for i in vec.terms}
+    kept = (i for i in range(len(enumerate_diagrams(n))) if i not in killed)
+    column = {i: j for j, i in enumerate(kept)}
     if relations is None:
-        relations = one_term_relations(n)
-        if n >= 2:
-            relations = relations + four_term_relations(n)
-    entries = {(r, i): c for r, vec in enumerate(relations) for i, c in vec.terms.items()}
-    return SparseMatrix(len(relations), cols, f, entries)
+        relations = _drain(four_term_relations(n) if n >= 2 else [])
+    entries = {}
+    rows = 0
+    for vec in relations:
+        row = [(column[i], c) for i, c in vec.terms.items() if i in column]
+        for j, c in row:
+            entries[(rows, j)] = c
+        rows += bool(row)
+    return SparseMatrix(rows, len(column), f, entries)
 
 
 def check_diagram_capacity(n: int) -> None:

@@ -36,6 +36,13 @@ def canonical_pair(i: int, j: int):
     return (i, j), 1
 
 
+def is_basic(factors) -> bool:
+    """True when the off-diagonal factors of a factor tuple have pairwise-distinct
+    larger indices, so that the product is its own normal form."""
+    bs = [b for (a, b) in factors if a != b]
+    return len(bs) == len(set(bs))
+
+
 def basis_order(factors):
     """Flat sort key of a sorted factor tuple: the diagonal strands, a pad that
     puts them diagonal-heavy first ({1} < {2} < {}), then the factors, which
@@ -65,8 +72,7 @@ class Monomial:
         return frozenset(x for p in self.factors for x in p)
 
     def is_basic(self) -> bool:
-        bs = [b for (a, b) in self.factors if a != b]
-        return len(bs) == len(set(bs))
+        return is_basic(self.factors)
 
     def __eq__(self, other):
         return (
@@ -181,7 +187,7 @@ def reduce_squarefree(mono, choose=None) -> dict:
     """
     mono = tuple(sorted(mono))
     if choose is None:
-        return dict(_reduce_cached(mono))
+        return dict(_reduce_default(mono))
 
     def recurse(sub):
         return _reduce(sub, choose, recurse)
@@ -189,9 +195,18 @@ def reduce_squarefree(mono, choose=None) -> dict:
     return dict(recurse(mono))
 
 
+def _reduce_default(mono: tuple):
+    """Normal form of a sorted square-free factor tuple by the default strategy,
+    as a tuple of (factor tuple, int coefficient) pairs.  A basic monomial is
+    returned as itself; only the others enter the rewrite memo."""
+    if is_basic(mono):
+        return ((mono, 1),)
+    return _reduce_cached(mono)
+
+
 @lru_cache(maxsize=None)
 def _reduce_cached(mono: tuple):
-    return _reduce(mono, _default_choice, _reduce_cached)
+    return _reduce(mono, _default_choice, _reduce_default)
 
 
 def _reduce(mono: tuple, choose, recurse):

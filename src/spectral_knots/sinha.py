@@ -24,7 +24,7 @@ import itertools
 from functools import lru_cache
 from math import comb
 
-from .conf_algebra import AlgebraElement, Monomial, _reduce_cached, basis_monomials, basis_order, dim_Y
+from .conf_algebra import AlgebraElement, Monomial, _reduce_default, basis_monomials, basis_order, dim_Y
 from .linalg import CAPACITY_LIMIT, CapacityError, ConsistencyError, Field, SparseMatrix, homology_dim
 
 SINHA_E2 = "sinha_e2"
@@ -49,7 +49,7 @@ def _face_monomial(i: int, l: int, factors: tuple) -> tuple:
         raw = factors
     else:
         raise ValueError(f"face index {i} out of range 0..{l}")
-    return _reduce_cached(raw)
+    return _reduce_default(raw)
 
 
 def face_pullback(i: int, x: AlgebraElement) -> AlgebraElement:
@@ -100,11 +100,14 @@ def normalized_basis(l: int, k: int) -> tuple:
     a < b, by distinct b descending, pruned once the edges still to come
     (two strands each) and the diagonals left cannot cover the strands 1..b
     still uncovered; the k - e diagonals take every uncovered strand and any
-    choice of the covered ones.
+    choice of the covered ones.  Within one set of diagonal strands
+    ``basis_order`` is plain tuple order, so the monomials are bucketed by
+    that set, each bucket sorted without a key, and the buckets joined in
+    ``basis_order``.
     """
     if l == 0:
         return ((),) if k == 0 else ()
-    out = []
+    buckets = {}  # diagonal factors -> monomials
     covers = [0] * (l + 1)  # edges chosen so far touching each strand
     edges = []
     diagonal = [(x, x) for x in range(l + 1)]
@@ -114,10 +117,11 @@ def normalized_basis(l: int, k: int) -> tuple:
         if uncovered - 2 * e_left > diag_left:
             return
         if e_left == 0:
-            fixed = [diagonal[s] for s in range(1, l + 1) if not covers[s]] + edges
+            free = [diagonal[s] for s in range(1, l + 1) if not covers[s]]
             covered = [diagonal[s] for s in range(1, l + 1) if covers[s]]
             for extra in itertools.combinations(covered, diag_left - uncovered):
-                out.append(tuple(sorted(fixed + list(extra))))
+                diag = sorted(free + list(extra))
+                buckets.setdefault(tuple(diag), []).append(tuple(sorted(diag + edges)))
             return
         if b < 2:
             return
@@ -139,17 +143,20 @@ def normalized_basis(l: int, k: int) -> tuple:
     # e forest edges (at most l - 1) and k - e diagonals (at most l)
     for e in range(max(0, k - l), min(k, l - 1) + 1):
         rec(l, e, l, k - e)
-    out.sort(key=basis_order)
-    return tuple(out)
+    for bucket in buckets.values():
+        bucket.sort()
+    # monomials with distinct diagonal strands differ in basis_order before the factors
+    return tuple(itertools.chain.from_iterable(buckets[d] for d in sorted(buckets, key=basis_order)))
 
 
 def d1_matrix(l: int, k: int, f: Field) -> SparseMatrix:
     """Matrix of the alternating face sum from column l to column l-1.
 
     Bases are ``normalized_basis(l, k)`` (columns) and
-    ``normalized_basis(l-1, k)`` (rows); terms of the image falling outside
-    the normalized span (monomials missing a strand) are dropped, which is
-    the quotient projection.
+    ``normalized_basis(l-1, k)`` (rows).  An inner face maps covered strands
+    onto covered strands and the rewrite keeps each term's strands, so every
+    term of the image lies in the target basis; a term outside it raises
+    ``ConsistencyError``.
     """
     if l < 1:
         raise ValueError("d1 needs a positive column index")
@@ -171,8 +178,9 @@ def d1_matrix(l: int, k: int, f: Field) -> SparseMatrix:
             if coeff == 0:
                 continue
             r = tgt_index.get(m)
-            if r is not None:
-                entries[(r, c)] = coeff
+            if r is None:
+                raise ConsistencyError(f"face image term {m!r} of {mono!r} is not a normalized monomial")
+            entries[(r, c)] = coeff
     return SparseMatrix(len(tgt_index), len(src), f, entries)
 
 

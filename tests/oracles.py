@@ -5,8 +5,9 @@ Gaussian elimination and matrix product, the raw word-space presentation of the 
 algebra (all ordered words modulo the full relation span), the
 inclusion-exclusion / degeneracy-image routes to normalized column
 dimensions, and the two assembled matrices built literally (each
-four-term slide canonicalised and validated as a perfect matching, one
-``face_pullback`` per face).
+four-term slide canonicalised and validated as a perfect matching, the
+one- and four-term rows over every diagram with no quotient taken first,
+one ``face_pullback`` per face).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from spectral_knots.chords import FOUR_TERM, _matchings
+from spectral_knots.chords import FOUR_TERM, _matchings, enumerate_diagrams, four_term_relations, one_term_relations
 from spectral_knots.conf_algebra import AlgebraElement, Monomial, basis_monomials, dim_Y
 from spectral_knots.linalg import Field, SparseMatrix
 from spectral_knots.sinha import degeneracy_pullback, face_pullback, normalized_basis
@@ -194,6 +195,22 @@ def slide_four_term_relations(n: int):
                 if acc and key not in seen:
                     seen.add(key)
                     out.append((FOUR_TERM, acc))
+    return out
+
+
+def unquotiented_relation_matrix(n: int, field: Field) -> SparseMatrix:
+    """One-term and four-term vectors stacked as rows over all (2n-1)!!
+    diagrams: the relation matrix before the one-term quotient."""
+    rels = one_term_relations(n) + (four_term_relations(n) if n >= 2 else [])
+    entries = {(r, i): c for r, vec in enumerate(rels) for i, c in vec.terms.items()}
+    return SparseMatrix(len(rels), len(enumerate_diagrams(n)), field, entries)
+
+
+def dense_rows(m: SparseMatrix):
+    """Integer dense rows of a matrix whose entries are integers."""
+    out = [[0] * m.cols for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        out[r][c] = int(v)
     return out
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import naive_rank, slide_four_term_relations
+from oracles import dense_rows, naive_rank, slide_four_term_relations, unquotiented_relation_matrix
 from spectral_knots import CapacityError, chords
 from spectral_knots.chords import (
     FOUR_TERM,
@@ -102,10 +102,17 @@ def test_four_term_three_chords_ambient_space():
         assert set(rel.terms) <= set(range(15))
 
 
-def test_four_term_deduplicated():
-    rels = four_term_relations(3)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_four_term_deduplicated(n):
+    # four_term_relations keeps no dedupe set: no vector repeats anyway
+    rels = four_term_relations(n)
     keys = [r.key() for r in rels]
     assert len(keys) == len(set(keys))
+
+
+def test_relation_vector_keeps_its_dict():
+    terms = {0: 1, 2: -1}
+    assert chords.RelationVector(FOUR_TERM, terms).terms is terms
 
 
 def test_dim_A_one():
@@ -114,20 +121,38 @@ def test_dim_A_one():
 
 def test_dim_A_two():
     assert dim_A(2, Q) == 1
-    # the four-term span adds nothing beyond the one-term span here
-    only_1t = relation_matrix(2, Q, relations=one_term_relations(2))
-    assert only_1t.rank() == relation_matrix(2, Q).rank() == 2
+    # one of the three diagrams survives the one-term quotient, and the
+    # four-term rows add nothing on its single column
+    m = relation_matrix(2, Q)
+    assert m.cols == 1
+    assert m.rank() == 0
 
 
 def test_dim_A_three_exhaustive_rank():
     # freeze the value produced by exhaustive rank over all 15 diagrams,
     # cross-checked by the dense textbook elimination
+    full = unquotiented_relation_matrix(3, Q)
+    assert full.cols == 15
+    rank = naive_rank(dense_rows(full))
+    assert full.rank() == rank
     m = relation_matrix(3, Q)
-    dense = [[0] * m.cols for _ in range(m.rows)]
-    for (r, c), v in m.entries.items():
-        dense[r][c] = int(v)
-    assert m.rank() == naive_rank(dense)
-    assert dim_A(3, Q) == 15 - m.rank() == 1
+    assert 15 - rank == m.cols - m.rank() == 1
+    assert dim_A(3, Q) == 1
+
+
+@pytest.mark.parametrize("field", [Q, F2, Field.prime(3)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_relation_matrix_columns_are_the_one_term_quotient(n, field):
+    m = relation_matrix(n, field)
+    assert m.cols == double_factorial(n) - len(one_term_relations(n))
+    full = unquotiented_relation_matrix(n, field)
+    assert m.cols - m.rank() == double_factorial(n) - naive_rank(dense_rows(full), field.p)
+
+
+def test_relation_matrix_drops_rows_left_empty():
+    # a one-term vector restricted to the quotient's columns is empty
+    m = relation_matrix(3, Q, relations=one_term_relations(3) + four_term_relations(3))
+    assert (m.rows, m.cols) == (relation_matrix(3, Q).rows, 5)
 
 
 def test_dim_A_checks_capacity_before_enumerating(monkeypatch):

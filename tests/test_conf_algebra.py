@@ -6,6 +6,7 @@ from oracles import element_as_word_vector, in_relation_span, word_quotient_dim
 from spectral_knots.conf_algebra import (
     AlgebraElement,
     Monomial,
+    _reduce_cached,
     basis_monomials,
     dim_Y,
     normal_form,
@@ -186,6 +187,16 @@ def test_normal_form_idempotent_on_basis():
     for m in basis_monomials(4, 3):
         e = normal_form(m, 4, Q)
         assert e == AlgebraElement({m: 1}, 4, Q)
+
+
+def test_rewrite_memo_holds_only_non_basic_monomials():
+    # g(1,3) g(2,3) = g(1,2) g(2,3) - g(1,2) g(1,3): one rewrite step to two
+    # basic monomials, so only the product itself enters the memo
+    _reduce_cached.cache_clear()
+    assert reduce_squarefree([(1, 3), (2, 3)]) == {((1, 2), (2, 3)): 1, ((1, 2), (1, 3)): -1}
+    assert _reduce_cached.cache_info().currsize == 1
+    assert reduce_squarefree([(1, 2), (1, 3)]) == {((1, 2), (1, 3)): 1}
+    assert _reduce_cached.cache_info().currsize == 1
 
 
 def test_multiply_commutative_and_associative():

@@ -55,7 +55,7 @@ def test_degree_seven_column_basis_fits_in_memory(tmp_path):
     out, peak_kib = _run_for_peak(
         "from spectral_knots.sinha import normalized_basis\nprint(len(normalized_basis(13, 7)))\n", tmp_path)
     assert int(out) == normalized_dim_formula(13, 7) == 675675
-    assert peak_kib < 450 * 1024
+    assert peak_kib < 220 * 1024
 
 
 @pytest.mark.slow
@@ -68,4 +68,16 @@ def test_degree_six_crosscheck_over_f2_fits_in_memory(tmp_path):
     rows = json.loads(out)["crosscheck"]
     assert all(r["equal"] for r in rows)
     assert rows[-1] == {"n_diag": 6, "dim_A": 9, "e2_diag": 9, "equal": True}
-    assert peak_kib < 135 * 1024
+    assert peak_kib < 110 * 1024
+
+
+@pytest.mark.slow
+def test_degree_seven_over_f2_is_bar_natans_fourteen_in_bounded_memory(tmp_path):
+    # dim_A(7) = 14 (Bar-Natan, as above), ranked over the one-term quotient:
+    # 47844 of the 135135 diagrams keep a column, and the four-term vectors
+    # are released as they become rows
+    out, peak_kib = _run_for_peak(
+        "from spectral_knots.chords import dim_A\nfrom spectral_knots.linalg import Field\n"
+        "print(dim_A(7, Field.prime(2)))\n", tmp_path)
+    assert int(out) == 14
+    assert peak_kib < 560 * 1024

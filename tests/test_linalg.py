@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_product, naive_rank
+from oracles import dense_product, naive_rank, unquotiented_relation_matrix
 from spectral_knots.chords import relation_matrix
 from spectral_knots.linalg import (
     ComplexError,
@@ -327,7 +327,8 @@ def test_f2_rank_matches_dense_oracle(dense):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_f2_rank_matches_dict_sweep_on_real_matrices(n):
-    for m in (d1_matrix(2 * n, n, F2), relation_matrix(n, F2)):
+    # the unquotiented relation matrix keeps the one-term rows of weight 1
+    for m in (d1_matrix(2 * n, n, F2), relation_matrix(n, F2), unquotiented_relation_matrix(n, F2)):
         rows = {}
         for (r, c), v in m.entries.items():
             rows.setdefault(r, {})[c] = v

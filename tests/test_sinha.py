@@ -4,7 +4,7 @@ import random
 import pytest
 
 from oracles import degeneracy_quotient_dim, face_sum_d1, inclusion_exclusion_dim
-from spectral_knots.conf_algebra import AlgebraElement, Monomial, basis_monomials
+from spectral_knots.conf_algebra import AlgebraElement, Monomial, _reduce_cached, basis_monomials
 from spectral_knots import sinha
 from spectral_knots.linalg import CAPACITY_LIMIT, ComplexError, Field
 from spectral_knots.sinha import (
@@ -51,6 +51,17 @@ def test_outer_face_kills_boundary_strand():
     assert face_pullback(0, single([(1, 1)], 1)).is_zero()
     assert face_pullback(2, single([(1, 2)], 2)).is_zero()
     assert face_pullback(0, single([(2, 3)], 3)) == single([(1, 2)], 2)
+
+
+def test_basic_face_image_leaves_the_rewrite_memo_alone():
+    # shrinking strands 1, 2 of g(1,2) g(2,3) gives g(1,1) g(1,2), already basic
+    before = _reduce_cached.cache_info()
+    assert sinha._face_monomial(1, 3, ((1, 2), (2, 3))) == ((((1, 1), (1, 2)), 1),)
+    assert _reduce_cached.cache_info() == before
+    # shrinking strands 3, 4 of g(1,4) g(2,3) gives g(1,3) g(2,3), which is not
+    sinha._face_monomial(3, 4, ((1, 4), (2, 3)))
+    after = _reduce_cached.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
 
 
 def test_face_index_range():
@@ -126,6 +137,20 @@ def test_normalized_dimension_field_independent():
         over_q = degeneracy_quotient_dim(l, k, Q)
         over_f2 = degeneracy_quotient_dim(l, k, F2)
         assert over_q == over_f2 == len(normalized_basis(l, k))
+
+
+def test_d1_raises_on_a_face_term_outside_the_basis(monkeypatch):
+    # every term of an inner face image covers all l - 1 strands, so a term
+    # missing one is a broken face map, not something to project away
+    face = sinha._face_monomial
+
+    def leaky(i, l, factors):
+        img = face(i, l, factors)
+        return img + ((((1, 1), (1, 2)), 1),) if i == 1 else img
+
+    monkeypatch.setattr(sinha, "_face_monomial", leaky)
+    with pytest.raises(ConsistencyError, match=r"\(\(1, 1\), \(1, 2\)\)"):
+        d1_matrix(4, 2, Q)
 
 
 def test_d1_two_one_is_minus_one():
