@@ -13,11 +13,8 @@ from .linalg import (
     homology_dim,
 )
 from .conf_algebra import (
-    AlgebraElement,
-    Monomial,
     basis_monomials,
     dim_Y,
-    normal_form,
 )
 from .cache import ResultCache, ResultRecord, fingerprint
 from .sinha import (
@@ -27,10 +24,8 @@ from .sinha import (
     VASSILIEV_E1,
     column_homology,
     d1_matrix,
-    degeneracy_pullback,
     e2_diagonal,
     e2_page,
-    face_pullback,
     kan_unit_check,
     normalized_basis,
     vassiliev_e1_view,
@@ -46,13 +41,11 @@ from .chords import (
 
 __all__ = [
     "__version__",
-    "AlgebraElement",
     "CapacityError",
     "ComplexError",
     "ConsistencyError",
     "Field",
     "KanReport",
-    "Monomial",
     "PageTable",
     "RelationVector",
     "ResultCache",
@@ -65,17 +58,14 @@ __all__ = [
     "column_homology",
     "fingerprint",
     "d1_matrix",
-    "degeneracy_pullback",
     "dim_A",
     "dim_Y",
     "e2_diagonal",
     "e2_page",
     "enumerate_diagrams",
-    "face_pullback",
     "four_term_relations",
     "homology_dim",
     "kan_unit_check",
-    "normal_form",
     "normalized_basis",
     "one_term_relations",
     "relation_matrix",

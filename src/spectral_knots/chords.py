@@ -45,9 +45,6 @@ class RelationVector:
         self.kind = kind
         self.terms = terms
 
-    def key(self):
-        return tuple(sorted(self.terms.items()))
-
     def __repr__(self):
         body = " ".join(f"{c:+d}*[{i}]" for i, c in sorted(self.terms.items()))
         return f"<{self.kind} {body}>"
@@ -129,23 +126,21 @@ def _drain(vectors: list):
         yield vectors.pop()
 
 
-def relation_matrix(n: int, f: Field, relations=None) -> SparseMatrix:
-    """Relation vectors as rows over the one-term quotient of the diagrams.
+def relation_matrix(n: int, f: Field) -> SparseMatrix:
+    """Four-term vectors as rows over the one-term quotient of the diagrams.
 
     The columns are the diagrams no ``one_term_relations(n)`` vector kills,
-    numbered in enumeration order.  Each row is one of ``relations`` (by
-    default ``four_term_relations(n)``) restricted to those columns; a row
-    left empty is dropped.  ``cols - rank`` is the dimension of the
-    diagrams modulo the one-term relations and ``relations``.
+    numbered in enumeration order.  Each row is one of
+    ``four_term_relations(n)`` restricted to those columns; a row left empty
+    is dropped.  ``cols - rank`` is the dimension of the diagrams modulo the
+    one- and four-term relations.
     """
     killed = {i for vec in one_term_relations(n) for i in vec.terms}
     kept = (i for i in range(len(enumerate_diagrams(n))) if i not in killed)
     column = {i: j for j, i in enumerate(kept)}
-    if relations is None:
-        relations = _drain(four_term_relations(n) if n >= 2 else [])
     entries = {}
     rows = 0
-    for vec in relations:
+    for vec in _drain(four_term_relations(n) if n >= 2 else []):
         row = [(column[i], c) for i, c in vec.terms.items() if i in column]
         for j, c in row:
             entries[(rows, j)] = c

@@ -7,6 +7,7 @@ Arnold relation g(i,j)g(j,k) + g(j,k)g(k,i) + g(k,i)g(i,j) = 0 for
 pairwise-distinct i, j, k.  All generators have even degree, so the
 algebra is strictly commutative.
 
+A square-free monomial is the sorted tuple of its factors (i, j), i <= j.
 Basis ("forest" normal form): a monomial is basic when its off-diagonal
 factors (a,b) with a < b have pairwise-distinct larger indices b.  Two
 factors sharing a larger index c rewrite through
@@ -16,7 +17,8 @@ factors sharing a larger index c rewrite through
 always eliminating the pair with maximal shared larger index, ties by
 smaller a, which strictly decreases the multiset of larger indices and
 hence terminates.  Coefficients of the rewrite are integers, so reduction
-is computed over Z and coerced into the requested field at the end.
+is computed over Z; the matrix that receives them reduces them into its
+field.
 """
 
 from __future__ import annotations
@@ -24,16 +26,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .linalg import Field, ShapeError
-
 _PAD = float("inf")
-
-
-def canonical_pair(i: int, j: int):
-    """Sort a generator index pair; swapping off-diagonal indices costs a sign."""
-    if i > j:
-        return (j, i), -1
-    return (i, j), 1
 
 
 def is_basic(factors) -> bool:
@@ -50,122 +43,10 @@ def basis_order(factors):
     return tuple([i for (i, j) in factors if i == j]) + (_PAD,) + factors
 
 
-class Monomial:
-    """Square-free product of generators on a fixed number of strands.
-
-    ``factors`` is a sorted tuple of canonical pairs (i, j) with i <= j.
-    """
-
-    __slots__ = ("factors", "strands")
-
-    def __init__(self, factors, strands: int):
-        factors = tuple(sorted(factors))
-        for (i, j) in factors:
-            if not (1 <= i <= j <= strands):
-                raise ValueError(f"factor {(i, j)} out of range on {strands} strands")
-        if len(set(factors)) != len(factors):
-            raise ValueError("repeated factor in a square-free monomial")
-        self.factors = factors
-        self.strands = strands
-
-    def support(self) -> frozenset:
-        return frozenset(x for p in self.factors for x in p)
-
-    def is_basic(self) -> bool:
-        return is_basic(self.factors)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Monomial)
-            and self.factors == other.factors
-            and self.strands == other.strands
-        )
-
-    def __hash__(self):
-        return hash((self.factors, self.strands))
-
-    def __repr__(self):
-        if not self.factors:
-            return "1"
-        return "*".join(f"g({i},{j})" for (i, j) in self.factors)
-
-
-class AlgebraElement:
-    """Linear combination of basic monomials over a field."""
-
-    __slots__ = ("terms", "strands", "field")
-
-    def __init__(self, terms, strands: int, field: Field):
-        clean = {}
-        for mono, coeff in terms.items():
-            coeff = field.coerce(coeff)
-            if coeff != 0:
-                if mono.strands != strands:
-                    raise ShapeError("monomial on wrong strand count")
-                clean[mono] = coeff
-        self.terms = clean
-        self.strands = strands
-        self.field = field
-
-    @classmethod
-    def zero(cls, strands: int, field: Field) -> "AlgebraElement":
-        return cls({}, strands, field)
-
-    @classmethod
-    def unit(cls, strands: int, field: Field) -> "AlgebraElement":
-        return cls({Monomial((), strands): 1}, strands, field)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other):
-        if self.strands != other.strands:
-            raise ShapeError("mismatched strand counts")
-        if self.field != other.field:
-            raise ShapeError("mismatched fields")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, 0) + c
-        return AlgebraElement(acc, self.strands, self.field)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement({m: -c for m, c in self.terms.items()}, self.strands, self.field)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        acc = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c = c1 * c2
-                for mono, icoeff in _reduce_product(m1.factors + m2.factors).items():
-                    key = Monomial(mono, self.strands)
-                    acc[key] = acc.get(key, 0) + c * icoeff
-        return AlgebraElement(acc, self.strands, self.field)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraElement)
-            and self.strands == other.strands
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = [f"{c!s}*{m!r}" for m, c in sorted(self.terms.items(), key=lambda t: basis_order(t[0].factors))]
-        return " + ".join(parts)
-
-
 def _default_choice(by_larger):
-    """Spec strategy: maximal shared larger index, then the two smallest a."""
-    c = max(b for b, al in by_larger.items() if len(al) >= 2)
+    """Spec strategy: maximal shared larger index, then the two smallest a.
+    ``by_larger`` maps each shared larger index to its smaller indices."""
+    c = max(by_larger)
     a1, a2 = sorted(by_larger[c])[:2]
     return a1, a2, c
 
@@ -178,46 +59,23 @@ def _shared_larger(mono):
     return {b: al for b, al in by_larger.items() if len(al) >= 2}
 
 
-def reduce_squarefree(mono, choose=None) -> dict:
-    """Reduce a square-free canonical monomial to the forest basis over Z.
-
-    ``mono`` is an iterable of distinct canonical (i, j) pairs; the result maps
-    sorted factor tuples to int coefficients.  ``choose`` overrides the rewrite-pair
-    strategy (used to exercise confluence); the default strategy is cached.
-    """
-    mono = tuple(sorted(mono))
-    if choose is None:
-        return dict(_reduce_default(mono))
-
-    def recurse(sub):
-        return _reduce(sub, choose, recurse)
-
-    return dict(recurse(mono))
-
-
-def _reduce_default(mono: tuple):
-    """Normal form of a sorted square-free factor tuple by the default strategy,
-    as a tuple of (factor tuple, int coefficient) pairs.  A basic monomial is
-    returned as itself; only the others enter the rewrite memo."""
+def reduce_squarefree(mono: tuple) -> tuple:
+    """Normal form over Z of a sorted square-free factor tuple, as a tuple of
+    (factor tuple, int coefficient) pairs.  A basic monomial is returned as
+    itself; only the others enter the rewrite memo."""
     if is_basic(mono):
         return ((mono, 1),)
     return _reduce_cached(mono)
 
 
 @lru_cache(maxsize=None)
-def _reduce_cached(mono: tuple):
-    return _reduce(mono, _default_choice, _reduce_default)
-
-
-def _reduce(mono: tuple, choose, recurse):
-    """One rewrite step by ``choose``, then ``recurse`` on each resulting sorted factor tuple."""
-    shared = _shared_larger(mono)
-    if not shared:
-        return ((mono, 1),)
-    a1, a2, c = choose(shared)
+def _reduce_cached(mono: tuple) -> tuple:
+    """One rewrite step of a non-basic monomial by ``_default_choice``, then
+    ``reduce_squarefree`` on each resulting sorted factor tuple."""
+    a1, a2, c = _default_choice(_shared_larger(mono))
     out = {}
     for sub, coeff in _rewrite_step(mono, a1, a2, c):
-        for m, k in recurse(sub):
+        for m, k in reduce_squarefree(sub):
             out[m] = out.get(m, 0) + coeff * k
     return tuple((m, k) for m, k in out.items() if k)
 
@@ -231,38 +89,10 @@ def _rewrite_step(mono, a1, a2, c):
         yield tuple(sorted(rest + repl)), sign
 
 
-def _reduce_product(raw_pairs, choose=None) -> dict:
-    """Canonicalize raw (i, j) pairs, kill squares, reduce.  Integer output."""
-    sign = 1
-    canon = []
-    for (i, j) in raw_pairs:
-        p, s = canonical_pair(i, j)
-        sign *= s
-        canon.append(p)
-    if len(set(canon)) != len(canon):
-        return {}
-    out = reduce_squarefree(canon, choose)
-    return {m: sign * c for m, c in out.items()}
-
-
-def normal_form(factors, strands: int, field: Field, choose=None) -> AlgebraElement:
-    """Normal form of a product of generators, given as raw (i, j) pairs.
-
-    Accepts a Monomial or any iterable of index pairs; pairs may be
-    unordered (antisymmetry sign applied) or repeated (then the result
-    is zero).
-    """
-    raw = factors.factors if isinstance(factors, Monomial) else list(factors)
-    for (i, j) in raw:
-        if not (1 <= i <= strands and 1 <= j <= strands):
-            raise ValueError(f"index pair {(i, j)} out of range on {strands} strands")
-    reduced = _reduce_product(raw, choose)
-    return AlgebraElement({Monomial(m, strands): c for m, c in reduced.items()}, strands, field)
-
-
 @lru_cache(maxsize=None)
 def basis_monomials(l: int, k: int):
-    """All basic monomials of degree 2k on l strands, deterministically ordered.
+    """All basic monomials of degree 2k on l strands, as sorted factor tuples
+    in ``basis_order``.
 
     The count is the coefficient of t^k in (1+t)^l * prod_{i<l} (1 + i*t).
     """
@@ -275,8 +105,8 @@ def basis_monomials(l: int, k: int):
             diag_pairs = [(x, x) for x in diag]
             for bs in itertools.combinations(range(2, l + 1), e):
                 for as_ in itertools.product(*[range(1, b) for b in bs]):
-                    out.append(Monomial(diag_pairs + list(zip(as_, bs)), l))
-    out.sort(key=lambda m: basis_order(m.factors))
+                    out.append(tuple(sorted(diag_pairs + list(zip(as_, bs)))))
+    out.sort(key=basis_order)
     return tuple(out)
 
 

@@ -2,10 +2,9 @@
 
 Scalars are plain Python values over the rationals, `int` when integral
 and `fractions.Fraction` otherwise, and `int` residues in [0, p) over a
-prime field F_p, p < 2**64.  Containers (matrices, algebra elements) carry
-the `Field` that interprets them, and their constructors are the only place
-where a scalar is reduced into it (`Field.coerce`); in between, scalars
-meet only plain `+`, `-` and `*`.
+prime field F_p, p < 2**64.  A matrix carries the `Field` that interprets
+it, and its constructor is the only place where a scalar is reduced into
+it (`Field.coerce`); in between, scalars meet only plain `+`, `-` and `*`.
 
 Over F_2 a rank is an XOR basis of packed-int lines (`_rank_f2`): one XOR
 per row update, and at most min(rows, cols)**2 / 8 bytes of basis.
@@ -156,35 +155,8 @@ class SparseMatrix:
                 clean[(r, c)] = v
         self.entries = clean
 
-    @classmethod
-    def zero(cls, rows: int, cols: int, field: Field) -> "SparseMatrix":
-        return cls(rows, cols, field)
-
-    @classmethod
-    def identity(cls, n: int, field: Field) -> "SparseMatrix":
-        return cls(n, n, field, {(i, i): 1 for i in range(n)})
-
-    @classmethod
-    def from_rows(cls, dense, field: Field, cols: int | None = None) -> "SparseMatrix":
-        """Build from a list of dense row lists."""
-        rows = len(dense)
-        if cols is None:
-            cols = len(dense[0]) if dense else 0
-        ent = {}
-        for r, row in enumerate(dense):
-            for c, v in enumerate(row):
-                if v:
-                    ent[(r, c)] = v
-        return cls(rows, cols, field, ent)
-
     def is_zero(self) -> bool:
         return not self.entries
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.cols, self.rows, self.field,
-            {(c, r): v for (r, c), v in self.entries.items()},
-        )
 
     def compose(self, other: "SparseMatrix") -> "SparseMatrix":
         """Exact matrix product self * other (apply other first)."""

@@ -7,8 +7,10 @@ The column differential is the alternating sum of face maps.  Homology of
 the columns gives the second-page dimension table; the standard degree
 shift relabels it as the first page of the discriminant-side sequence.
 
-Face map conventions (validated by d1*d1 = 0 and by the chord-diagram
-cross-check, see tests):
+A monomial is its sorted factor tuple from the basis to the matrix; a
+face map (``_face_monomial``) sends one to the rewrite memo's tuple of
+(factor tuple, int coefficient) pairs.  Face map conventions (validated by
+d1*d1 = 0 and by the chord-diagram cross-check, see tests):
 
 * inner face i (1 <= i <= l-1): relabel strands along the surjection
   {1..l} -> {1..l-1} shrinking {i, i+1}; a factor g(i, i+1) becomes the
@@ -24,7 +26,7 @@ import itertools
 from functools import lru_cache
 from math import comb
 
-from .conf_algebra import AlgebraElement, Monomial, _reduce_default, basis_monomials, basis_order, dim_Y
+from .conf_algebra import basis_monomials, basis_order, dim_Y, reduce_squarefree
 from .linalg import CAPACITY_LIMIT, CapacityError, ConsistencyError, Field, SparseMatrix, homology_dim
 
 SINHA_E2 = "sinha_e2"
@@ -49,40 +51,7 @@ def _face_monomial(i: int, l: int, factors: tuple) -> tuple:
         raw = factors
     else:
         raise ValueError(f"face index {i} out of range 0..{l}")
-    return _reduce_default(raw)
-
-
-def face_pullback(i: int, x: AlgebraElement) -> AlgebraElement:
-    """Pullback along the i-th coface; result lives on one strand fewer."""
-    l = x.strands
-    if l < 1:
-        raise ValueError("no face maps out of the empty configuration")
-    if not (0 <= i <= l):
-        raise ValueError(f"face index {i} out of range 0..{l}")
-    acc = {}
-    for mono, coeff in x.terms.items():
-        for m, ic in _face_monomial(i, l, mono.factors):
-            key = Monomial(m, l - 1)
-            acc[key] = acc.get(key, 0) + coeff * ic
-    return AlgebraElement(acc, l - 1, x.field)
-
-
-def degeneracy_pullback(i: int, x: AlgebraElement) -> AlgebraElement:
-    """Pullback along the codegeneracy that forgets strand i of the target.
-
-    ``x`` lives on m strands; the result lives on m + 1 strands, relabeled
-    along the order-preserving injection {1..m} -> {1..m+1} skipping i.
-    """
-    m = x.strands
-    if not (1 <= i <= m + 1):
-        raise ValueError(f"degeneracy index {i} out of range 1..{m + 1}")
-    phi = lambda s: s if s < i else s + 1
-    f = x.field
-    out = {}
-    for mono, coeff in x.terms.items():
-        key = Monomial([(phi(a), phi(b)) for (a, b) in mono.factors], m + 1)
-        out[key] = coeff
-    return AlgebraElement(out, m + 1, f)
+    return reduce_squarefree(raw)
 
 
 def normalized_dim_formula(l: int, k: int) -> int:
@@ -355,7 +324,7 @@ def _expanded_column_homology(n: int, k: int, f: Field) -> dict:
     bases = {}
     for r in range(0, n + 1):
         labels = list(itertools.combinations(range(1, n + 2), r + 1))
-        bases[r] = [(lab, m.factors) for lab in labels for m in basis_monomials(r, k)]
+        bases[r] = [(lab, m) for lab in labels for m in basis_monomials(r, k)]
 
     def dmat(r: int) -> SparseMatrix:
         src = bases[r]

@@ -7,7 +7,7 @@ inclusion-exclusion / degeneracy-image routes to normalized column
 dimensions, and the two assembled matrices built literally (each
 four-term slide canonicalised and validated as a perfect matching, the
 one- and four-term rows over every diagram with no quotient taken first,
-one ``face_pullback`` per face).
+every face a literal relabel of the strands).
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from fractions import Fraction
 from math import comb
 
 from spectral_knots.chords import FOUR_TERM, _matchings, enumerate_diagrams, four_term_relations, one_term_relations
-from spectral_knots.conf_algebra import AlgebraElement, Monomial, basis_monomials, dim_Y
+from spectral_knots.conf_algebra import basis_monomials, dim_Y, reduce_squarefree
 from spectral_knots.linalg import Field, SparseMatrix
-from spectral_knots.sinha import degeneracy_pullback, face_pullback, normalized_basis
+from spectral_knots.sinha import normalized_basis
 
 
 def naive_rank(dense_rows, p=None) -> int:
@@ -121,11 +121,12 @@ def word_quotient_dim(l: int, k: int, field: Field) -> int:
 
 
 def element_as_word_vector(elem_terms, l: int, k: int) -> dict:
-    """Express a combination of square-free monomials as a word-space row."""
+    """Express a combination {factor tuple: coefficient} of square-free
+    monomials as a word-space row."""
     _, index = word_space(l, k)
     row = {}
     for mono, coeff in elem_terms.items():
-        word = tuple(sorted(mono.factors))
+        word = tuple(sorted(mono))
         row[index[word]] = row.get(index[word], 0) + coeff
     return {i: c for i, c in row.items() if c}
 
@@ -153,9 +154,8 @@ def degeneracy_quotient_dim(l: int, k: int, field: Field) -> int:
     r = 0
     for i in range(1, l + 1):
         for m in basis_monomials(l - 1, k):
-            img = degeneracy_pullback(i, AlgebraElement({m: 1}, l - 1, field))
-            for mono, coeff in img.terms.items():
-                entries[(r, index[mono])] = coeff
+            # the codegeneracy forgetting strand i relabels 1..l-1 into 1..l, skipping i
+            entries[(r, index[tuple(sorted((a + (a >= i), b + (b >= i)) for (a, b) in m))])] = 1
             r += 1
     mat = SparseMatrix(r, len(big), field, entries)
     return len(big) - mat.rank()
@@ -198,10 +198,12 @@ def slide_four_term_relations(n: int):
     return out
 
 
-def unquotiented_relation_matrix(n: int, field: Field) -> SparseMatrix:
-    """One-term and four-term vectors stacked as rows over all (2n-1)!!
-    diagrams: the relation matrix before the one-term quotient."""
-    rels = one_term_relations(n) + (four_term_relations(n) if n >= 2 else [])
+def unquotiented_relation_matrix(n: int, field: Field, rels=None) -> SparseMatrix:
+    """Relation vectors stacked as rows over all (2n-1)!! diagrams; by
+    default the one- and four-term vectors, the relation matrix before the
+    one-term quotient."""
+    if rels is None:
+        rels = one_term_relations(n) + (four_term_relations(n) if n >= 2 else [])
     entries = {(r, i): c for r, vec in enumerate(rels) for i, c in vec.terms.items()}
     return SparseMatrix(len(rels), len(enumerate_diagrams(n)), field, entries)
 
@@ -215,18 +217,35 @@ def dense_rows(m: SparseMatrix):
 
 
 def face_sum_d1(l: int, k: int, field: Field) -> SparseMatrix:
-    """The alternating sum of ``face_pullback`` on each normalized monomial,
-    projected onto the normalized basis one column down."""
+    """The alternating sum of the faces 0..l on each normalized monomial,
+    projected onto the normalized basis one column down.
+
+    Face i relabels the strands literally: an inner face sends s to
+    s - (s > i), merging i and i + 1; face 0 deletes strand 1 and face l
+    strand l, and a factor on a deleted strand, or a repeated factor, makes
+    the term vanish.  The relabelled factors are reduced by
+    ``reduce_squarefree``.
+    """
     src = normalized_basis(l, k)
-    tgt = {Monomial(m, l - 1): r for r, m in enumerate(normalized_basis(l - 1, k))}
+    tgt = {m: r for r, m in enumerate(normalized_basis(l - 1, k))}
     entries = {}
     for c, mono in enumerate(src):
-        x = AlgebraElement({Monomial(mono, l): 1}, l, field)
-        img = AlgebraElement.zero(l - 1, field)
+        img = {}
         for i in range(0, l + 1):
-            term = face_pullback(i, x)
-            img = img - term if i % 2 else img + term
-        for m, coeff in img.terms.items():
+            if i == 0:
+                relabel = {s: s - 1 for s in range(2, l + 1)}
+            elif i == l:
+                relabel = {s: s for s in range(1, l)}
+            else:
+                relabel = {s: s - (s > i) for s in range(1, l + 1)}
+            if any(s not in relabel for p in mono for s in p):
+                continue
+            pairs = [(relabel[a], relabel[b]) for (a, b) in mono]
+            if len(set(pairs)) < len(pairs):
+                continue
+            for m, coeff in reduce_squarefree(tuple(sorted(pairs))):
+                img[m] = img.get(m, 0) + (-1) ** i * coeff
+        for m, coeff in img.items():
             if m in tgt:
                 entries[(tgt[m], c)] = coeff
     return SparseMatrix(len(tgt), len(src), field, entries)

@@ -17,7 +17,8 @@ from oracles import (
 )
 from spectral_knots.chords import dim_A, enumerate_diagrams
 from spectral_knots.cli import RunConfig, run
-from spectral_knots.conf_algebra import basis_monomials, dim_Y, reduce_squarefree
+from spectral_knots import conf_algebra
+from spectral_knots.conf_algebra import _reduce_cached, basis_monomials, dim_Y, reduce_squarefree
 from spectral_knots.linalg import Field
 from spectral_knots.sinha import (
     SINHA_E2,
@@ -95,7 +96,7 @@ def test_criterion_2_complex_property_suite():
                 assert len(basis_monomials(l, k)) == dim_Y(l, k), (l, k)
 
 
-def test_criterion_3_rewriting_oracle_equivalence():
+def test_criterion_3_rewriting_oracle_equivalence(monkeypatch):
     with criterion(3, "normal-form basis vs word-space quotient (l<=4, k<=3) + confluence x1000"):
         for l in range(1, 5):
             for k in range(0, 4):
@@ -108,14 +109,22 @@ def test_criterion_3_rewriting_oracle_equivalence():
             while len(pairs) < k:
                 i, j = rng.randint(1, l), rng.randint(1, l)
                 pairs.add((min(i, j), max(i, j)))
-            mono = frozenset(pairs)
+            mono = tuple(sorted(pairs))
 
             def chooser(shared):
                 b = rng.choice(sorted(shared))
                 a1, a2 = sorted(rng.sample(sorted(shared[b]), 2))
                 return a1, a2, b
 
-            assert reduce_squarefree(mono) == reduce_squarefree(mono, choose=chooser), mono
+            default = dict(reduce_squarefree(mono))
+            # the memo is cleared around the patched call, so no random-order
+            # result is served to it or stays behind
+            _reduce_cached.cache_clear()
+            with monkeypatch.context() as m:
+                m.setattr(conf_algebra, "_default_choice", chooser)
+                alt = dict(reduce_squarefree(mono))
+            _reduce_cached.cache_clear()
+            assert default == alt, mono
 
 
 def test_criterion_4_kan_extension_check():

@@ -1,36 +1,42 @@
-"""The Sinha pipeline keys a monomial by its sorted factor tuple from basis to
-matrix: ``Monomial`` wraps the tuple only at the algebra API, and no
-frozenset is left on the path."""
+"""A monomial is its sorted factor tuple from basis to matrix: no module
+names an object wrapper for it, and no frozenset is left on the path."""
 
 import ast
 from pathlib import Path
 
 PKG = Path(__file__).resolve().parent.parent / "src" / "spectral_knots"
-PULLBACKS = {"face_pullback", "degeneracy_pullback"}
-REWRITE = {"_reduce_cached", "_reduce", "_rewrite_step", "reduce_squarefree", "_reduce_product"}
+OBJECT_ALGEBRA = {"Monomial", "AlgebraElement"}
+REWRITE = {"_reduce_cached", "_rewrite_step", "reduce_squarefree"}
 
 
 def _tree(module):
     return ast.parse((PKG / module).read_text(encoding="utf-8"))
 
 
-def _calls_by_function(tree, name):
-    """Enclosing top-level function (None at module level) of every ``name(...)`` call."""
-    out = set()
-    for node in tree.body:
-        fn = node.name if isinstance(node, ast.FunctionDef) else None
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == name:
-                out.add(fn)
-    return out
-
-
 def _names(node):
     return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
 
 
-def test_sinha_wraps_monomials_only_in_the_pullbacks():
-    assert _calls_by_function(_tree("sinha.py"), "Monomial") == PULLBACKS
+def _identifiers(tree):
+    """Every name a module binds, reads, imports or looks up as an attribute."""
+    out = set()
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.add(sub.name)
+        elif isinstance(sub, ast.alias):
+            out.update(filter(None, (sub.name, sub.asname)))
+    return out
+
+
+def test_no_module_names_the_object_algebra():
+    modules = sorted(PKG.glob("*.py"))
+    assert modules
+    for path in modules:
+        assert not _identifiers(_tree(path.name)) & OBJECT_ALGEBRA, path.name
 
 
 def test_no_frozenset_in_sinha_or_the_rewrite():

@@ -1,10 +1,10 @@
-"""Scalars are reduced into their field only by the container constructors."""
+"""Scalars are reduced into their field only by the matrix constructor."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-CONSTRUCTORS = {("SparseMatrix", "__init__"), ("AlgebraElement", "__init__")}
+CONSTRUCTORS = {("SparseMatrix", "__init__")}
 FIELD_ARITHMETIC = {"add", "sub", "neg", "mul", "inv", "zero", "one"}
 
 
