@@ -18,10 +18,6 @@ from .conf_algebra import (
 )
 from .cache import ResultCache, ResultRecord, fingerprint
 from .sinha import (
-    KanReport,
-    PageTable,
-    SINHA_E2,
-    VASSILIEV_E1,
     column_homology,
     d1_matrix,
     e2_diagonal,
@@ -45,15 +41,11 @@ __all__ = [
     "ComplexError",
     "ConsistencyError",
     "Field",
-    "KanReport",
-    "PageTable",
     "RelationVector",
     "ResultCache",
     "ResultRecord",
-    "SINHA_E2",
     "ShapeError",
     "SparseMatrix",
-    "VASSILIEV_E1",
     "basis_monomials",
     "column_homology",
     "fingerprint",

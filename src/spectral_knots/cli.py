@@ -39,39 +39,35 @@ EXIT_CAPACITY = 3
 
 
 class RunConfig:
-    """One request: the command, its sizes and field, and the output options."""
+    """One request: the command, its sizes and parsed field, and the output
+    options.  The constructor raises ValueError on a request no command
+    accepts; a command that does not read ``k_max`` stores 0."""
 
-    __slots__ = ("command", "n", "k_max", "field_spec", "output_format", "cache_dir")
+    __slots__ = ("command", "n", "k_max", "field", "output_format", "cache_dir")
 
     def __init__(self, command: str, n: int, k_max: int, field_spec: str,
                  output_format: str = "json", cache_dir: str | None = None):
+        if command not in _COMMANDS:
+            raise ValueError(f"unknown command {command!r}")
+        if output_format not in FORMATS:
+            raise ValueError(f"unknown output format {output_format!r}")
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if k_max < 0:
+            raise ValueError("k-max must be >= 0")
         self.command = command
         self.n = n
-        self.k_max = k_max
-        self.field_spec = field_spec
+        self.k_max = k_max if command in _READS_K_MAX else 0
+        self.field = Field.from_spec(field_spec)
         self.output_format = output_format
         self.cache_dir = cache_dir
-
-    def validate(self) -> None:
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.output_format not in FORMATS:
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.k_max < 0:
-            raise ValueError("k-max must be >= 0")
-        Field.from_spec(self.field_spec)  # raises ValueError on bad spec
-
-    def field(self) -> Field:
-        return Field.from_spec(self.field_spec)
 
     def fingerprint(self) -> str:
         key = {
             "command": self.command,
             "n": self.n,
             "k_max": self.k_max,
-            "field_spec": Field.from_spec(self.field_spec).spec(),
+            "field_spec": self.field.spec(),
             "source": source_digest(),
         }
         return fingerprint(key, __version__)
@@ -85,15 +81,15 @@ class RunConfig:
         return os.path.join(os.path.expanduser("~"), ".cache", "spectral-knots")
 
 
-def _page_rows(page) -> list:
-    return [{"col": c, "row": r, "dim": d} for (c, r), d in page.sorted_items()]
+def _page_rows(page: dict) -> list:
+    return [{"col": c, "row": r, "dim": d} for (c, r), d in sorted(page.items())]
 
 
 # Each builder returns its command's part of the payload; ``run`` adds
 # ``field`` and ``n``.  They look the library names up in this module when
 # called, so a name patched here (``cli.dim_A``, ...) reaches them.
-def _e2(cfg: RunConfig, f: Field) -> dict:
-    page = e2_page(cfg.n, cfg.k_max, f)
+def _e2(cfg: RunConfig) -> dict:
+    page = e2_page(cfg.n, cfg.k_max, cfg.field)
     return {
         "k_max": cfg.k_max,
         "truncation_boundary_col": -cfg.n,
@@ -101,26 +97,28 @@ def _e2(cfg: RunConfig, f: Field) -> dict:
     }
 
 
-def _chord(cfg: RunConfig, f: Field) -> dict:
-    return {"dim_A": [{"n_diag": i, "dim": dim_A(i, f)} for i in range(1, cfg.n + 1)]}
+def _chord(cfg: RunConfig) -> dict:
+    return {"dim_A": [{"n_diag": i, "dim": dim_A(i, cfg.field)} for i in range(1, cfg.n + 1)]}
 
 
-def _crosscheck(cfg: RunConfig, f: Field) -> dict:
+def _crosscheck(cfg: RunConfig) -> dict:
     # the diagonal entries are truncation-independent once n >= 2*n_diag
     rows = []
     for i in range(1, cfg.n + 1):
-        a, e = dim_A(i, f), e2_diagonal(i, f)
+        a, e = dim_A(i, cfg.field), e2_diagonal(i, cfg.field)
         rows.append({"n_diag": i, "dim_A": a, "e2_diag": e, "equal": a == e})
     return {"crosscheck": rows}
 
 
-def _kancheck(cfg: RunConfig, f: Field) -> dict:
-    report = kan_unit_check(cfg.n, cfg.k_max, f)
+def _kancheck(cfg: RunConfig) -> dict:
+    lhs, rhs = kan_unit_check(cfg.n, cfg.k_max, cfg.field)
+    # a degree missing from one side has dimension 0 there
     degrees = []
-    for t in report.degrees():
-        lhs, rhs = report.lhs_dims.get(t, 0), report.rhs_dims.get(t, 0)
-        degrees.append({"degree": t, "lhs": lhs, "rhs": rhs, "equal": lhs == rhs})
-    return {"k_max": cfg.k_max, "kan_check": {"equal": report.equal, "total_degrees": degrees}}
+    for t in sorted(lhs.keys() | rhs.keys()):
+        a, b = lhs.get(t, 0), rhs.get(t, 0)
+        degrees.append({"degree": t, "lhs": a, "rhs": b, "equal": a == b})
+    equal = all(d["equal"] for d in degrees)
+    return {"k_max": cfg.k_max, "kan_check": {"equal": equal, "total_degrees": degrees}}
 
 
 # command -> (payload builder, table header, payload -> table entries).  Each
@@ -135,6 +133,9 @@ _COMMANDS = {
     "crosscheck": (_crosscheck, ("n_diag", "dim_A", "e2_diag", "equal"), lambda p: p["crosscheck"]),
     "kancheck": (_kancheck, ("degree", "lhs", "rhs", "equal"), lambda p: p["kan_check"]["total_degrees"]),
 }
+
+# the commands that read --k-max; the others store 0, so it stays out of their cache key
+_READS_K_MAX = ("e2", "kancheck")
 
 # the type of each table cell; every other header key holds an int (not a bool)
 _CELL_TYPES = {"page": str, "equal": bool}
@@ -160,8 +161,7 @@ def _utc_timestamp() -> str:
 
 
 def run(cfg: RunConfig) -> ResultRecord:
-    """Execute a validated config, consulting and updating the cache."""
-    cfg.validate()
+    """Execute a request, consulting and updating the cache."""
     _check_capacity(cfg)
     fp = cfg.fingerprint()
     cache = ResultCache(cfg.resolved_cache_dir())
@@ -180,8 +180,7 @@ def run(cfg: RunConfig) -> ResultRecord:
         print(f"cache hit: {fp[:12]}", file=sys.stderr)
         return cached
     start = time.perf_counter()
-    f = cfg.field()
-    payload = {"field": f.spec(), "n": cfg.n, **build(cfg, f)}
+    payload = {"field": cfg.field.spec(), "n": cfg.n, **build(cfg)}
     record = ResultRecord(
         fingerprint=fp,
         payload=payload,
@@ -224,20 +223,19 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     k_max = args.k_max
     if k_max is None:
-        if args.command in ("e2", "kancheck"):
+        if args.command in _READS_K_MAX:
             print(f"error: --k-max is required for command {args.command}", file=sys.stderr)
             return EXIT_USAGE
         k_max = 0
-    cfg = RunConfig(
-        command=args.command,
-        n=args.n,
-        k_max=k_max,
-        field_spec=args.field,
-        output_format=args.output_format,
-        cache_dir=args.cache_dir,
-    )
     try:
-        cfg.validate()
+        cfg = RunConfig(
+            command=args.command,
+            n=args.n,
+            k_max=k_max,
+            field_spec=args.field,
+            output_format=args.output_format,
+            cache_dir=args.cache_dir,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -81,14 +81,6 @@ class Field:
         self.p = p
 
     @classmethod
-    def rationals(cls) -> "Field":
-        return cls(None)
-
-    @classmethod
-    def prime(cls, p: int) -> "Field":
-        return cls(p)
-
-    @classmethod
     def from_spec(cls, spec: str) -> "Field":
         """Parse a field spec string: "q" or "fp:<prime>"."""
         shown = repr(spec) if len(spec) <= 24 else repr(spec[:24]) + "..."  # errors echo a prefix
@@ -107,7 +99,12 @@ class Field:
         return "q" if self.p is None else f"fp:{self.p}"
 
     def coerce(self, x):
-        """Normalize an int or Fraction into this field; integral rationals become int."""
+        """Normalize a scalar into this field; integral rationals become int.
+
+        Over Q any value ``Fraction`` takes exactly is accepted.  Over F_p only
+        an int (bool included) or a Fraction is: any other scalar raises
+        TypeError, since a float's residue is neither an int nor exact.
+        """
         if type(x) is int:
             return x if self.p is None else x % self.p
         from fractions import Fraction  # loaded only once a non-int scalar arrives
@@ -120,7 +117,9 @@ class Field:
             if den == 0:
                 raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
             return x.numerator * pow(den, -1, self.p) % self.p
-        return x % self.p
+        if isinstance(x, int):
+            return x % self.p
+        raise TypeError(f"cannot reduce a {type(x).__name__} into {self.spec()}")
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -133,11 +132,10 @@ class Field:
 
 
 class SparseMatrix:
-    """Immutable sparse matrix over an exact field.
+    """Sparse matrix over an exact field.
 
     ``entries`` maps (row, col) to a nonzero scalar of ``field``.  All
-    operations return new values; instances are safe to share between
-    concurrent workers.
+    operations return new values.
     """
 
     __slots__ = ("rows", "cols", "field", "entries")

@@ -29,9 +29,6 @@ from math import comb
 from .conf_algebra import basis_monomials, basis_order, dim_Y, reduce_squarefree
 from .linalg import CAPACITY_LIMIT, CapacityError, ConsistencyError, Field, SparseMatrix, homology_dim
 
-SINHA_E2 = "sinha_e2"
-VASSILIEV_E1 = "vassiliev_e1"
-
 
 def _face_monomial(i: int, l: int, factors: tuple) -> tuple:
     """Face pullback of a sorted factor tuple, as the rewrite memo's own tuple
@@ -165,38 +162,9 @@ def column_homology(n: int, k: int, f: Field) -> list:
     return homology_dim(ds)
 
 
-class PageTable:
-    """Bigraded dimension table: (column, row) -> dimension, absent = 0."""
-
-    __slots__ = ("entries", "page_label", "field", "truncation")
-
-    def __init__(self, entries: dict, page_label: str, field: Field, truncation: int):
-        self.entries = dict(entries)
-        self.page_label = page_label
-        self.field = field
-        self.truncation = truncation
-
-    def get(self, col: int, row: int) -> int:
-        return self.entries.get((col, row), 0)
-
-    def sorted_items(self):
-        return sorted(self.entries.items())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PageTable)
-            and self.entries == other.entries
-            and self.page_label == other.page_label
-            and self.field == other.field
-            and self.truncation == other.truncation
-        )
-
-    def __repr__(self):
-        return f"PageTable({self.page_label}, n={self.truncation}, {len(self.entries)} entries)"
-
-
-def e2_page(n: int, k_max: int, f: Field) -> PageTable:
-    """Second-page dimensions of the n-truncated sequence, rows up to 2*k_max.
+def e2_page(n: int, k_max: int, f: Field) -> dict:
+    """Second-page dimensions {(col, row): dim} of the n-truncated sequence,
+    rows up to 2*k_max.
 
     Entry (-l, 2k) is the homology dimension of the normalized column
     complex at cardinality l; the truncation sets column n+1 to zero, so
@@ -224,7 +192,7 @@ def e2_page(n: int, k_max: int, f: Field) -> PageTable:
         hs = column_homology(min(n, 2 * k + 1), k, f) if k < 2 * n else []
         for l in range(1, n + 1):
             entries[(-l, 2 * k)] = hs[l] if l < len(hs) else 0
-    return PageTable(entries, SINHA_E2, f, n)
+    return entries
 
 
 def e2_diagonal(n_diag: int, f: Field) -> int:
@@ -248,17 +216,16 @@ def e2_diagonal(n_diag: int, f: Field) -> int:
     return homology_dim([d_out, d_in])[1]
 
 
-def vassiliev_e1_view(p: PageTable) -> PageTable:
-    """Relabel second-page entries through the standard degree shift.
+def vassiliev_e1_view(page: dict) -> dict:
+    """Relabel a second-page table {(col, row): dim} through the standard
+    degree shift.
 
     A table bidegree (col, row) = (q - 3p, 2p) maps to (-p, q), i.e.
     (-row/2, col + 3*row/2).  Any nonzero entry off that lattice (odd or
     negative row, positive column) is a consistency violation.
     """
-    if p.page_label != SINHA_E2:
-        raise ValueError(f"expected a {SINHA_E2} table, got {p.page_label}")
     out = {}
-    for (col, row), dim in p.entries.items():
+    for (col, row), dim in page.items():
         on_lattice = row % 2 == 0 and row >= 0 and col <= 0
         if not on_lattice:
             if dim != 0:
@@ -268,36 +235,20 @@ def vassiliev_e1_view(p: PageTable) -> PageTable:
             continue
         half = row // 2
         out[(-half, col + 3 * half)] = dim
-    return PageTable(out, VASSILIEV_E1, p.field, p.truncation)
+    return out
 
 
-class KanReport:
-    """Total-degree homology dimensions of both sides of the comparison map."""
-
-    __slots__ = ("lhs_dims", "rhs_dims")
-
-    def __init__(self, lhs_dims: dict | None = None, rhs_dims: dict | None = None):
-        self.lhs_dims = {} if lhs_dims is None else lhs_dims
-        self.rhs_dims = {} if rhs_dims is None else rhs_dims
-
-    def degrees(self):
-        return sorted(set(self.lhs_dims) | set(self.rhs_dims))
-
-    @property
-    def equal(self) -> bool:
-        return all(
-            self.lhs_dims.get(t, 0) == self.rhs_dims.get(t, 0) for t in self.degrees()
-        )
-
-
-def kan_unit_check(n: int, k_max: int, f: Field) -> KanReport:
+def kan_unit_check(n: int, k_max: int, f: Field) -> tuple:
     """Brute-force comparison of the expanded and plain normalized complexes.
 
     The expanded side has, in simplicial degree r, one full algebra summand
     per order-preserving injection [r] -> {1..n+1}; faces compose the label
-    with a coface and apply the matching face pullback.  Total homology
-    dimensions of both sides must agree in every total degree 2k - r.
-    Both sides are empty for k > 2n - 1 (r <= n strands carry <= 2r - 1 factors).
+    with a coface and apply the matching face pullback.  Both sides are
+    empty for k > 2n - 1 (r <= n strands carry <= 2r - 1 factors).
+
+    Returns (lhs, rhs), the total homology dimensions {2k - r: dim} of the
+    expanded and of the plain side.  They must agree in every total degree,
+    a degree missing from one side counting as 0 there.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -306,12 +257,12 @@ def kan_unit_check(n: int, k_max: int, f: Field) -> KanReport:
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
 
-    report = KanReport()
+    lhs, rhs = {}, {}
     for k in range(0, min(k_max, 2 * n - 1) + 1):
         plain = column_homology(n, k, f)
-        _accumulate(report.rhs_dims, {l: h for l, h in enumerate(plain) if normalized_basis(l, k)}, k)
-        _accumulate(report.lhs_dims, _expanded_column_homology(n, k, f), k)
-    return report
+        _accumulate(rhs, {l: h for l, h in enumerate(plain) if normalized_basis(l, k)}, k)
+        _accumulate(lhs, _expanded_column_homology(n, k, f), k)
+    return lhs, rhs
 
 
 def _accumulate(dims, per_level, k):

@@ -13,8 +13,8 @@ from spectral_knots.chords import (
 )
 from spectral_knots.linalg import ConsistencyError, Field, SparseMatrix
 
-Q = Field.rationals()
-F2 = Field.prime(2)
+Q = Field()
+F2 = Field(2)
 
 
 def double_factorial(n):
@@ -140,7 +140,7 @@ def test_dim_A_three_exhaustive_rank():
     assert dim_A(3, Q) == 1
 
 
-@pytest.mark.parametrize("field", [Q, F2, Field.prime(3)])
+@pytest.mark.parametrize("field", [Q, F2, Field(3)])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_relation_matrix_columns_are_the_one_term_quotient(n, field):
     m = relation_matrix(n, field)
@@ -203,6 +203,6 @@ def test_reflection_invariance():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_prime_field_dimension_at_least_rational(p):
-    fp = Field.prime(p)
+    fp = Field(p)
     for n in (1, 2, 3, 4):
         assert dim_A(n, fp) >= dim_A(n, Q)

@@ -10,8 +10,9 @@ from datetime import datetime, timezone
 
 import pytest
 
+import spectral_knots
 from spectral_knots import cli, sinha
-from spectral_knots.cache import ResultCache
+from spectral_knots.cache import ResultCache, fingerprint, source_digest
 from spectral_knots.cli import (
     EXIT_CAPACITY,
     EXIT_MISMATCH,
@@ -22,7 +23,6 @@ from spectral_knots.cli import (
     main,
     run,
 )
-from spectral_knots.sinha import KanReport
 
 
 @pytest.fixture(autouse=True)
@@ -114,6 +114,29 @@ def test_repeat_invocation_hits_cache_and_matches_bytes(capsys):
     assert out1.encode() == out2.encode()
     assert "cache hit" not in err1
     assert "cache hit" in err2
+
+
+@pytest.mark.parametrize("command", ["chord", "crosscheck"])
+def test_unread_k_max_stays_out_of_the_cache_key(command, isolated_cache, capsys):
+    code, first, err = invoke(capsys, "--command", command, "--n", "3")
+    assert code == EXIT_OK and "cache hit" not in err
+    code, again, err = invoke(capsys, "--command", command, "--n", "3", "--k-max", "2")
+    assert (code, again) == (EXIT_OK, first)
+    assert "cache hit:" in err
+    assert len(list((isolated_cache / "cache").iterdir())) == 1
+    # a negative value is still refused
+    code, out, err = invoke(capsys, "--command", command, "--n", "3", "--k-max", "-1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "k-max must be >= 0" in err
+
+
+def test_unread_k_max_leaves_the_fingerprint_unchanged():
+    # the key of a command launched without --k-max is what it always was
+    key = {"command": "chord", "n": 3, "k_max": 0, "field_spec": "q", "source": source_digest()}
+    expected = fingerprint(key, spectral_knots.__version__)
+    for k_max in (0, 5):
+        assert RunConfig(command="chord", n=3, k_max=k_max, field_spec="Q ").fingerprint() == expected
+    assert RunConfig(command="e2", n=3, k_max=5, field_spec="q").k_max == 5
 
 
 def test_kancheck_command(capsys):
@@ -284,10 +307,25 @@ def test_crosscheck_mismatch_exits_one(capsys, monkeypatch):
 
 
 def test_kancheck_mismatch_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "kan_unit_check", lambda n, k_max, f: KanReport({0: 1, 1: 2}, {0: 1, 1: 1}))
+    monkeypatch.setattr(cli, "kan_unit_check", lambda n, k_max, f: ({0: 1, 1: 2}, {0: 1, 1: 1}))
     code, out, _ = invoke(capsys, "--command", "kancheck", "--n", "1", "--k-max", "1")
     assert code == EXIT_MISMATCH
     assert json.loads(out)["kan_check"]["equal"] is False
+
+
+def test_kancheck_missing_degree_counts_as_zero(capsys, monkeypatch):
+    # the sides' dicts differ, but degree 2 has dimension 0 on both
+    monkeypatch.setattr(cli, "kan_unit_check", lambda n, k_max, f: ({0: 1, 2: 0}, {0: 1}))
+    code, out, err = invoke(capsys, "--command", "kancheck", "--n", "1", "--k-max", "1")
+    assert code == EXIT_OK
+    assert json.loads(out)["kan_check"] == {
+        "equal": True,
+        "total_degrees": [
+            {"degree": 0, "equal": True, "lhs": 1, "rhs": 1},
+            {"degree": 2, "equal": True, "lhs": 0, "rhs": 0},
+        ],
+    }
+    assert "mismatch" not in err
 
 
 def test_csv_format(capsys):

@@ -7,7 +7,7 @@ from spectral_knots import conf_algebra
 from spectral_knots.conf_algebra import _reduce_cached, basis_monomials, dim_Y, is_basic, reduce_squarefree
 from spectral_knots.linalg import Field
 
-Q = Field.rationals()
+Q = Field()
 
 
 def times(x, y):

@@ -5,7 +5,8 @@ commands: all four commands over Q, F_2 and an odd prime, each replayed
 from the cache in every output format, a usage error, a bad field and the
 capacity refusals.  A profile hook records the code object of every call.
 A ``def`` under ``src/``, nested ones included, that no command enters is
-code only the tests reach, and fails the test unless it is exempt below.
+code only the tests reach, and fails the test unless it is a dunder value
+method.
 """
 
 import ast
@@ -20,11 +21,6 @@ PKG = Path(cli.__file__).resolve().parent
 
 # value semantics: equality, hashing and display for library callers
 EXEMPT_NAMES = {"__eq__", "__hash__", "__repr__"}
-EXEMPT = {
-    "Field.rationals": "the README's library example builds its field with it",
-    "Field.prime": "the README's library example builds its field with it",
-    "PageTable.get": "the README's library example reads a table entry with it",
-}
 
 COMMANDS = [
     (0, ["--command", command, *sizes, "--field", field, "--format", fmt])
@@ -90,11 +86,7 @@ def test_every_def_is_entered_by_a_command(tmp_path, monkeypatch):
             sys.setprofile(None)
     assert codes == [code for code, _ in COMMANDS]
     entered = {(str(Path(c.co_filename).resolve()), c.co_firstlineno, c.co_name) for c in entered}
-    defs = _defs()
-    assert set(EXEMPT) <= set(defs.values())  # no exemption outlives its def
     unreached = sorted(
-        qualname
-        for key, qualname in defs.items()
-        if key not in entered and key[2] not in EXEMPT_NAMES and qualname not in EXEMPT
+        qualname for key, qualname in _defs().items() if key not in entered and key[2] not in EXEMPT_NAMES
     )
     assert unreached == []

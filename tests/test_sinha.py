@@ -8,11 +8,8 @@ from spectral_knots.conf_algebra import _reduce_cached, basis_monomials
 from spectral_knots import sinha
 from spectral_knots.linalg import CAPACITY_LIMIT, ComplexError, Field
 from spectral_knots.sinha import (
-    SINHA_E2,
-    VASSILIEV_E1,
     CapacityError,
     ConsistencyError,
-    PageTable,
     _face_monomial,
     d1_matrix,
     e2_page,
@@ -23,8 +20,8 @@ from spectral_knots.sinha import (
     vassiliev_e1_view,
 )
 
-Q = Field.rationals()
-F2 = Field.prime(2)
+Q = Field()
+F2 = Field(2)
 
 
 def apply_face(i, l, x):
@@ -161,7 +158,7 @@ def test_d1_empty_source():
     assert m.is_zero()
 
 
-@pytest.mark.parametrize("field", [Q, F2, Field.prime(3)])
+@pytest.mark.parametrize("field", [Q, F2, Field(3)])
 def test_d1_squares_to_zero_small(field):
     for k in range(0, 4):
         for l in range(2, 7):
@@ -170,7 +167,7 @@ def test_d1_squares_to_zero_small(field):
             assert a.compose(b).is_zero(), (l, k, field)
 
 
-@pytest.mark.parametrize("field", [Q, Field.prime(3)])
+@pytest.mark.parametrize("field", [Q, Field(3)])
 def test_d1_matches_face_pullback(field):
     for l in range(1, 9):
         for k in range(0, 5):
@@ -183,15 +180,15 @@ def test_d1_matches_face_pullback(field):
 
 def test_e2_hand_entries():
     page = e2_page(2, 1, Q)
-    assert page.get(-2, 2) == 0
-    assert page.get(-1, 2) == 0
+    assert page[(-2, 2)] == 0
+    assert page[(-1, 2)] == 0
 
 
 def test_e2_diagonal_matches_chord_dimension():
     from spectral_knots.chords import dim_A
 
     page = e2_page(4, 2, Q)
-    assert page.get(-4, 4) == dim_A(2, Q) == 1
+    assert page[(-4, 4)] == dim_A(2, Q) == 1
 
 
 def test_e2_diagonal_shortcut_matches_full_page():
@@ -200,28 +197,28 @@ def test_e2_diagonal_shortcut_matches_full_page():
     for field in (Q, F2):
         page = e2_page(6, 3, field)
         for i in (1, 2, 3):
-            assert e2_diagonal(i, field) == page.get(-2 * i, 2 * i), (i, field)
+            assert e2_diagonal(i, field) == page[(-2 * i, 2 * i)], (i, field)
 
 
 def test_e2_truncation_boundary_kernel():
     # with truncation 1 the single column reports a kernel dimension
     page = e2_page(1, 1, Q)
-    assert page.get(-1, 2) == 1
+    assert page[(-1, 2)] == 1
     # a deeper truncation kills it with the incoming differential
-    assert e2_page(2, 1, Q).get(-1, 2) == 0
+    assert e2_page(2, 1, Q)[(-1, 2)] == 0
 
 
 def test_e2_monotone_below_truncation():
     small = e2_page(3, 2, Q)
     large = e2_page(4, 2, Q)
-    for (col, row), dim in small.entries.items():
-        if -col < small.truncation:
-            assert large.get(col, row) == dim, (col, row)
+    for (col, row), dim in small.items():
+        if -col < 3:  # below the truncation of the smaller table
+            assert large[(col, row)] == dim, (col, row)
 
 
 def test_e2_vanishing_off_support():
     page = e2_page(5, 2, Q)
-    for (col, row), dim in page.entries.items():
+    for (col, row), dim in page.items():
         l, k = -col, row // 2
         if l > 2 * k:
             assert dim == 0, (col, row)
@@ -253,31 +250,19 @@ def test_column_complex_structure():
 
 
 def test_vassiliev_shift_examples():
-    page = PageTable({(-2, 2): 7, (-4, 4): 5, (-5, 6): 3}, SINHA_E2, Q, 6)
-    view = vassiliev_e1_view(page)
-    assert view.page_label == VASSILIEV_E1
-    assert view.get(-1, 1) == 7
-    assert view.get(-2, 2) == 5
-    assert view.get(-3, 4) == 3
-
-
-def test_vassiliev_requires_e2_table():
-    page = PageTable({}, VASSILIEV_E1, Q, 2)
-    with pytest.raises(ValueError):
-        vassiliev_e1_view(page)
+    view = vassiliev_e1_view({(-2, 2): 7, (-4, 4): 5, (-5, 6): 3})
+    assert view == {(-1, 1): 7, (-2, 2): 5, (-3, 4): 3}
 
 
 def test_vassiliev_off_lattice_zero_is_dropped():
-    page = PageTable({(-2, 3): 0, (-2, 2): 1}, SINHA_E2, Q, 2)
-    view = vassiliev_e1_view(page)
-    assert view.entries == {(-1, 1): 1}
+    view = vassiliev_e1_view({(-2, 3): 0, (-2, 2): 1})
+    assert view == {(-1, 1): 1}
 
 
 def test_vassiliev_off_lattice_nonzero_raises():
     for bad in [{(-2, 3): 4}, {(-2, -2): 1}, {(1, 2): 2}]:
-        page = PageTable(bad, SINHA_E2, Q, 2)
         with pytest.raises(ConsistencyError):
-            vassiliev_e1_view(page)
+            vassiliev_e1_view(bad)
 
 
 def test_normalized_dim_formula_vanishes_above_two_k():
@@ -305,7 +290,7 @@ def test_e2_rows_above_two_n_minus_one_are_zero(n, field):
     top = e2_page(n, 2 * n - 1, field)
     beyond = e2_page(n, 2 * n + 3, field)
     zeros = {(-l, 2 * k): 0 for l in range(1, n + 1) for k in range(2 * n, 2 * n + 4)}
-    assert beyond.entries == {**top.entries, **zeros}
+    assert beyond == {**top, **zeros}
 
 
 def test_e2_capacity_loop_skips_empty_columns(monkeypatch):
@@ -319,7 +304,7 @@ def test_e2_capacity_loop_skips_empty_columns(monkeypatch):
     monkeypatch.setattr(sinha, "normalized_dim_formula", guarded)
     page = e2_page(30, 1, F2)
     # the table computed when every column was estimated: 60 zero entries
-    assert page.entries == {(-l, 2 * k): 0 for l in range(1, 31) for k in (0, 1)}
+    assert page == {(-l, 2 * k): 0 for l in range(1, 31) for k in (0, 1)}
 
 
 def test_e2_table_over_capacity_fails_before_any_column(monkeypatch):
@@ -355,29 +340,31 @@ def test_column_homology_rejects_a_nonempty_column_above_two_k(monkeypatch):
 def test_real_page_is_on_lattice():
     page = e2_page(4, 2, F2)
     view = vassiliev_e1_view(page)  # must not raise
-    assert all(row >= 0 for (_, row) in page.entries)
-    total = sum(page.entries.values())
-    assert sum(view.entries.values()) == total
+    assert all(row >= 0 for (_, row) in page)
+    assert sum(view.values()) == sum(page.values())
 
 
 # ---------------------------------------------------------------------------
 # brute-force comparison of the expanded complex
 
 
+def nonzero(dims):
+    """A {total degree: dim} dict without its zero dimensions."""
+    return {t: d for t, d in dims.items() if d}
+
+
 @pytest.mark.parametrize("field", [Q, F2])
 def test_kan_unit_check_n1(field):
-    report = kan_unit_check(1, 2, field)
-    assert report.equal
-    assert report.rhs_dims.get(0) == 1  # one class in total degree 0
-    assert report.rhs_dims.get(1) == 1  # the tangent class at the boundary column
+    lhs, rhs = kan_unit_check(1, 2, field)
+    assert nonzero(lhs) == nonzero(rhs)
+    assert rhs.get(0) == 1  # one class in total degree 0
+    assert rhs.get(1) == 1  # the tangent class at the boundary column
 
 
 @pytest.mark.parametrize("field", [Q, F2])
 def test_kan_unit_check_n2(field):
-    report = kan_unit_check(2, 2, field)
-    assert report.equal
-    for t in report.degrees():
-        assert report.lhs_dims.get(t, 0) == report.rhs_dims.get(t, 0)
+    lhs, rhs = kan_unit_check(2, 2, field)
+    assert nonzero(lhs) == nonzero(rhs)
 
 
 def test_kan_corrupted_sign_detected(monkeypatch):
@@ -398,7 +385,7 @@ def test_kan_corrupted_sign_detected(monkeypatch):
 def test_kan_degrees_above_two_n_minus_one_are_empty(n, field):
     top = kan_unit_check(n, 2 * n - 1, field)
     beyond = kan_unit_check(n, 2 * n + 3, field)
-    assert (beyond.lhs_dims, beyond.rhs_dims) == (top.lhs_dims, top.rhs_dims)
+    assert beyond == top
 
 
 def test_kan_capacity():
