@@ -26,29 +26,49 @@ import itertools
 from functools import lru_cache
 from math import comb
 
-from .conf_algebra import basis_monomials, basis_order, dim_Y, reduce_squarefree
+from .conf_algebra import _reduce_cached, basis_monomials, basis_order, dim_Y
 from .linalg import CAPACITY_LIMIT, CapacityError, ConsistencyError, Field, SparseMatrix, homology_dim
 
 
 def _face_monomial(i: int, l: int, factors: tuple) -> tuple:
-    """Face pullback of a sorted factor tuple, as the rewrite memo's own tuple
-    of (factor tuple, int coefficient) pairs; () when it vanishes."""
+    """Face pullback of a basic sorted factor tuple, as the rewrite memo's own
+    tuple of (factor tuple, int coefficient) pairs; () when it vanishes.
+
+    The input must be basic: each strand then has at most one smaller
+    neighbour, so one scan over the factors classifies an inner face, and
+    only a non-basic image enters the rewrite memo.
+    """
     if 1 <= i <= l - 1:
-        # shrink {i, i+1} to i; two factors merging make a square, which vanishes
-        raw = tuple(sorted([(a - (a > i), b - (b > i)) for (a, b) in factors]))
-        if any(p == q for p, q in zip(raw, raw[1:])):
+        # smaller neighbours (0: none) and tangent classes of strands i and i+1
+        ni = nj = 0
+        ti = tj = False
+        for (a, b) in factors:
+            if b == i:
+                if a == i:
+                    ti = True
+                else:
+                    ni = a
+            elif b == i + 1:
+                if a == b:
+                    tj = True
+                else:
+                    nj = a
+        # shrinking {i, i+1} to i squares g(a,i) when both neighbours are a,
+        # and g(i,i) when two of g(i,i), g(i+1,i+1), g(i,i+1) are factors
+        if (ni and ni == nj) or (ti and tj) or ((ti or tj) and nj == i):
             return ()
-    elif i == 0:
+        raw = tuple(sorted([(a - (a > i), b - (b > i)) for (a, b) in factors]))
+        # the only shared larger index the shrink can make is i itself
+        if ni and nj and nj != i:
+            return _reduce_cached(raw)
+        return ((raw, 1),)
+    if i == 0:
         if any(a == 1 for (a, _) in factors):  # a <= b, so a == 1 covers b == 1
             return ()
-        raw = tuple([(a - 1, b - 1) for (a, b) in factors])  # still sorted and distinct
-    elif i == l:
-        if any(b == l for (_, b) in factors):
-            return ()
-        raw = factors
-    else:
-        raise ValueError(f"face index {i} out of range 0..{l}")
-    return reduce_squarefree(raw)
+        return ((tuple([(a - 1, b - 1) for (a, b) in factors]), 1),)  # still sorted, distinct and basic
+    if i == l:
+        return () if any(b == l for (_, b) in factors) else ((factors, 1),)
+    raise ValueError(f"face index {i} out of range 0..{l}")
 
 
 def normalized_dim_formula(l: int, k: int) -> int:
@@ -115,6 +135,23 @@ def normalized_basis(l: int, k: int) -> tuple:
     return tuple(itertools.chain.from_iterable(buckets[d] for d in sorted(buckets, key=basis_order)))
 
 
+def _face_sum(l: int, mono: tuple) -> dict:
+    """Alternating sum of the inner faces of a normalized monomial on l
+    strands, as {factor tuple: nonzero int}; a nonzero outer face raises
+    ``ConsistencyError``."""
+    acc = {}
+    for i in range(0, l + 1):
+        img = _face_monomial(i, l, mono)
+        if i in (0, l):
+            if img:
+                raise ConsistencyError(f"outer face {i} nonzero on normalized monomial {mono!r}")
+            continue
+        sign = -1 if i % 2 else 1
+        for m, ic in img:
+            acc[m] = acc.get(m, 0) + sign * ic
+    return {m: c for m, c in acc.items() if c}
+
+
 def d1_matrix(l: int, k: int, f: Field) -> SparseMatrix:
     """Matrix of the alternating face sum from column l to column l-1.
 
@@ -130,19 +167,7 @@ def d1_matrix(l: int, k: int, f: Field) -> SparseMatrix:
     tgt_index = {m: r for r, m in enumerate(normalized_basis(l - 1, k))}
     entries = {}
     for c, mono in enumerate(src):
-        acc = {}
-        for i in range(0, l + 1):
-            img = _face_monomial(i, l, mono)
-            if i in (0, l):
-                if img:
-                    raise ConsistencyError(f"outer face {i} nonzero on normalized monomial {mono!r}")
-                continue
-            sign = -1 if i % 2 else 1
-            for m, ic in img:
-                acc[m] = acc.get(m, 0) + sign * ic
-        for m, coeff in acc.items():
-            if coeff == 0:
-                continue
+        for m, coeff in _face_sum(l, mono).items():
             r = tgt_index.get(m)
             if r is None:
                 raise ConsistencyError(f"face image term {m!r} of {mono!r} is not a normalized monomial")
@@ -200,7 +225,22 @@ def e2_diagonal(n_diag: int, f: Field) -> int:
 
     Above the diagonal the normalized column is empty (k factors cover at
     most 2k strands), so the entry is the same for every truncation
-    >= 2*n_diag; the emptiness is checked, not assumed.
+    >= 2*n_diag and is the kernel dimension of d1 on the diagonal column;
+    the emptiness is checked, not assumed.
+
+    The sources are the (2n-1)!! perfect matchings of 2n strands.  Inner
+    face i of a source with a factor (i, i+1) has the basic term (i, i)
+    plus the rest relabelled, coefficient +-1.  No other source hits that
+    term: a tangent class (i, i) arises only by merging a factor (i, i+1),
+    the rest then fixes the source, and the rewrite never makes a tangent
+    class.  So each such source is the only nonzero of a target row of its
+    own, adds 1 to the rank, and leaves the kernel alone.  What is ranked
+    is d1 on the kept sources, those with no factor (i, i+1) (the mirror of
+    the one-term quotient of chord diagrams): one row per kept source, one
+    column per face term they hit, numbered in ``basis_order``.  The entry
+    is rows - rank; the target column (2n-1, n) is never enumerated.  A
+    kept source's face term with a tangent class would break the argument
+    and raises ``ConsistencyError``.
     """
     if n_diag < 1:
         raise ValueError("n_diag must be >= 1")
@@ -209,11 +249,31 @@ def e2_diagonal(n_diag: int, f: Field) -> int:
         raise CapacityError(
             f"diagonal column (l={l}, k={k}) exceeds capacity limit {CAPACITY_LIMIT}"
         )
-    d_out = d1_matrix(l, k, f)
-    d_in = d1_matrix(l + 1, k, f)
-    if d_in.cols:
+    if normalized_basis(l + 1, k):
         raise ConsistencyError("normalized column above the diagonal must be empty")
-    return homology_dim([d_out, d_in])[1]
+    d = _kept_face_matrix(l, k, f)
+    return d.rows - d.rank()
+
+
+def _kept_face_matrix(l: int, k: int, f: Field) -> SparseMatrix:
+    """d1 on the sources of column (l, k) with no factor (i, i+1), as one row
+    per such source and one column per face term they hit, the terms
+    numbered in ``basis_order``; a term with a tangent class raises
+    ``ConsistencyError``.  Each term is held once, numbered as first hit and
+    then renumbered, and none is held once the matrix is built."""
+    first = {}
+    rows = [
+        {first.setdefault(m, len(first)): c for m, c in _face_sum(l, src).items()}
+        for src in normalized_basis(l, k)
+        if all(b != a + 1 for (a, b) in src)
+    ]
+    number = [0] * len(first)
+    for c, m in enumerate(sorted(first, key=basis_order)):
+        if any(a == b for (a, b) in m):
+            raise ConsistencyError(f"face term {m!r} of a source with no factor (i, i+1) has a tangent class")
+        number[first[m]] = c
+    entries = {(r, number[j]): c for r, row in enumerate(rows) for j, c in row.items()}
+    return SparseMatrix(len(rows), len(number), f, entries)
 
 
 def vassiliev_e1_view(page: dict) -> dict:

@@ -61,14 +61,15 @@ def test_degree_seven_column_basis_fits_in_memory(tmp_path):
 @pytest.mark.slow
 def test_degree_six_crosscheck_over_f2_fits_in_memory(tmp_path):
     # a cold crosscheck up to n = 6; the F_2 ranks hold no dict rows and no
-    # presolve state
+    # presolve state, and the Sinha side ranks only its kept sources (peak
+    # about 56 MB)
     out, peak_kib = _run_for_peak(
         "from spectral_knots.cli import main\nmain(['--command', 'crosscheck', '--n', '6', '--field', 'fp:2'])\n",
         tmp_path)
     rows = json.loads(out)["crosscheck"]
     assert all(r["equal"] for r in rows)
     assert rows[-1] == {"n_diag": 6, "dim_A": 9, "e2_diag": 9, "equal": True}
-    assert peak_kib < 110 * 1024
+    assert peak_kib < 65 * 1024
 
 
 @pytest.mark.slow
@@ -81,3 +82,15 @@ def test_degree_seven_over_f2_is_bar_natans_fourteen_in_bounded_memory(tmp_path)
         "print(dim_A(7, Field(2)))\n", tmp_path)
     assert int(out) == 14
     assert peak_kib < 560 * 1024
+
+
+@pytest.mark.slow
+def test_degree_seven_sinha_diagonal_over_f2_is_fourteen_in_bounded_memory(tmp_path):
+    # e2_diagonal(7) = 14 = dim_A(7) (Bar-Natan, as above), ranked over the
+    # 47844 of 135135 matchings with no factor (i, i+1); the (13, 7) column
+    # is never enumerated (peak about 568 MB)
+    out, peak_kib = _run_for_peak(
+        "from spectral_knots.sinha import e2_diagonal\nfrom spectral_knots.linalg import Field\n"
+        "print(e2_diagonal(7, Field(2)))\n", tmp_path)
+    assert int(out) == 14
+    assert peak_kib < 655 * 1024

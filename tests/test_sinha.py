@@ -12,6 +12,7 @@ from spectral_knots.sinha import (
     ConsistencyError,
     _face_monomial,
     d1_matrix,
+    e2_diagonal,
     e2_page,
     column_homology,
     kan_unit_check,
@@ -58,6 +59,8 @@ def test_basic_face_image_leaves_the_rewrite_memo_alone():
     # shrinking strands 1, 2 of g(1,2) g(2,3) gives g(1,1) g(1,2), already basic
     before = _reduce_cached.cache_info()
     assert _face_monomial(1, 3, ((1, 2), (2, 3))) == ((((1, 1), (1, 2)), 1),)
+    # shrinking strands 2, 3 of g(1,2) g(1,3) squares g(1,2): it vanishes
+    assert _face_monomial(2, 3, ((1, 2), (1, 3))) == ()
     assert _reduce_cached.cache_info() == before
     # shrinking strands 3, 4 of g(1,4) g(2,3) gives g(1,3) g(2,3), which is not
     _face_monomial(3, 4, ((1, 4), (2, 3)))
@@ -192,12 +195,81 @@ def test_e2_diagonal_matches_chord_dimension():
 
 
 def test_e2_diagonal_shortcut_matches_full_page():
-    from spectral_knots.sinha import e2_diagonal
-
     for field in (Q, F2):
         page = e2_page(6, 3, field)
         for i in (1, 2, 3):
             assert e2_diagonal(i, field) == page[(-2 * i, 2 * i)], (i, field)
+
+
+def adjacent(mono):
+    """True when a perfect matching has a factor (i, i+1)."""
+    return any(b == a + 1 for (a, b) in mono)
+
+
+@pytest.mark.parametrize("field", [Q, F2, Field(3)])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_e2_diagonal_is_the_kernel_of_the_full_d1(n, field):
+    d = d1_matrix(2 * n, n, field)
+    assert e2_diagonal(n, field) == d.cols - d.rank()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_adjacent_sources_own_a_private_tangent_row(n):
+    # the argument e2_diagonal rests on, checked on the full d1 over Q
+    d = d1_matrix(2 * n, n, Q)
+    src, tgt = normalized_basis(2 * n, n), normalized_basis(2 * n - 1, n)
+    rows = {}
+    for (r, c), v in d.entries.items():
+        rows.setdefault(r, {})[c] = v
+    tangent = {r for r, m in enumerate(tgt) if any(a == b for (a, b) in m)}
+    owned = {c for r in tangent for c, v in rows.get(r, {}).items() if len(rows[r]) == 1 and v in (1, -1)}
+    dropped = {c for c, m in enumerate(src) if adjacent(m)}
+    assert len(dropped) == [1, 2, 10, 69, 616][n - 1]
+    assert owned == dropped
+    assert all(c in dropped for r in tangent for c in rows.get(r, {}))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_kept_sources_are_the_one_term_columns(n):
+    # a test-side cross-check only: the Sinha side never reads the chord side
+    from spectral_knots.chords import relation_matrix
+
+    kept = [m for m in normalized_basis(2 * n, n) if not adjacent(m)]
+    assert len(kept) == relation_matrix(n, F2).cols
+
+
+def test_e2_diagonal_never_enumerates_the_target_column(monkeypatch):
+    real = sinha.normalized_basis
+
+    def guarded(l, k):
+        if (l, k) == (7, 4):
+            raise AssertionError("enumerated the column (7, 4)")
+        return real(l, k)
+
+    monkeypatch.setattr(sinha, "normalized_basis", guarded)
+    monkeypatch.setattr(sinha, "d1_matrix", None)
+    assert e2_diagonal(4, F2) == 3
+
+
+def test_e2_diagonal_raises_on_a_tangent_term_of_a_kept_source(monkeypatch):
+    # g(1,3) g(2,4) is the one kept source at n = 2; no face of it may make
+    # a tangent class, since the private rows of the others rest on that
+    face = sinha._face_monomial
+
+    def leaky(i, l, factors):
+        img = face(i, l, factors)
+        return img + ((((1, 1), (1, 2)), 1),) if i == 1 else img
+
+    monkeypatch.setattr(sinha, "_face_monomial", leaky)
+    with pytest.raises(ConsistencyError, match=r"\(\(1, 1\), \(1, 2\)\)"):
+        e2_diagonal(2, Q)
+
+
+def test_e2_diagonal_rejects_a_nonempty_column_above_the_diagonal(monkeypatch):
+    real = sinha.normalized_basis
+    monkeypatch.setattr(sinha, "normalized_basis", lambda l, k: (((1, 5),),) if (l, k) == (5, 2) else real(l, k))
+    with pytest.raises(ConsistencyError, match="above the diagonal"):
+        e2_diagonal(2, F2)
 
 
 def test_e2_truncation_boundary_kernel():
