@@ -19,11 +19,21 @@ slots adjacent to b1 and b2.  Signs alternate along the slide order
 
 so when b1 and b2 are adjacent the two middle insertions coincide and
 cancel, leaving a two-term vector; stored coefficients are always +-1.
+The 2n slides of one skeleton are a walk: a slide is held as its partner
+word w, w[p] the partner of position p, with the moving endpoint first at
+position 0.  It reaches the next slot by swapping with its right
+neighbour, which fixes two partners; passing its own anchor leaves the
+same diagram and the word unchanged.  Each slot is then one such update
+and one lookup of ``bytes(w)``.  Slides of one chord can coincide besides
+adjacent b1 and b2 (when the anchor is the only point between them all
+four cancel), so only a vector with four distinct slides is written down
+directly; the others add their signs and drop what cancels.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 from .linalg import CAPACITY_LIMIT, CapacityError, ConsistencyError, Field, SparseMatrix
 
@@ -82,39 +92,65 @@ def one_term_relations(n: int):
     ]
 
 
+def _word(diagram) -> bytes:
+    """Partner word of a diagram: byte p is the partner of position p, both
+    counted from 0, so each diagram has exactly one word."""
+    w = bytearray(2 * len(diagram))
+    for a, b in diagram:
+        w[a - 1], w[b - 1] = b - 1, a - 1
+    return bytes(w)
+
+
 def four_term_relations(n: int):
     """All nonzero four-term vectors from skeleton/chord/moving-endpoint data.
 
-    Each slide is renumbered to a sorted pair tuple and looked up in the
-    enumerated basis; a tuple outside it is a ``ConsistencyError``.  No
-    vector repeats (checked for n <= 7), and a repeated row could not
-    change a rank, so none is held to deduplicate against.
+    The matchings of 2n-2 points are enumerated once and placed around each
+    anchor as skeletons.  Each skeleton's 2n slides are one walk of the
+    moving endpoint's partner word (see the module docstring), looked up by
+    ``bytes`` in the enumerated basis; a word outside it is a
+    ``ConsistencyError``.  No vector repeats (checked for n <= 7), and a
+    repeated row could not change a rank, so none is held to deduplicate
+    against.
     """
     if n < 2:
         raise ValueError("four-term relations need n >= 2")
-    index = {d: i for i, d in enumerate(enumerate_diagrams(n))}
+    index = {_word(d): i for i, d in enumerate(enumerate_diagrams(n))}
     npts = 2 * n - 1
+    bases = list(_matchings(tuple(range(1, npts))))
     out = []
     for anchor in range(1, npts + 1):
-        others = tuple(p for p in range(1, npts + 1) if p != anchor)
-        for skeleton in _matchings(others):
+        for base in bases:
+            skeleton = [(a + (a >= anchor), b + (b >= anchor)) for (a, b) in base]
+            # slot 0: the moving endpoint at position 0, skeleton point p at p
+            w = bytearray(npts + 1)
+            w[0], w[anchor] = anchor, 0
+            for a, b in skeleton:
+                w[a], w[b] = b, a
+            key = bytes(w)
+            slides = [key]
+            for s in range(1, npts + 1):
+                x, y = w[s - 1], w[s]
+                # passing its own anchor leaves the same diagram
+                if x != s:
+                    w[s - 1], w[y], w[s], w[x] = y, s - 1, x, s
+                    key = bytes(w)
+                slides.append(key)
             # at[slot]: index of the diagram with the moving endpoint after ``slot`` points
-            at = []
-            for slot in range(npts + 1):
-                moved = anchor + (anchor > slot)
-                pairs = [(a + (a > slot), b + (b > slot)) for (a, b) in skeleton]
-                pairs.append((slot + 1, moved) if slot < anchor else (moved, slot + 1))
-                i = index.get(tuple(sorted(pairs)))
-                if i is None:
-                    raise ConsistencyError(f"slide {sorted(pairs)} is not a diagram with {n} chords")
-                at.append(i)
+            at = list(map(index.get, slides))
+            if None in at:
+                word = list(slides[at.index(None)])
+                raise ConsistencyError(f"slide with partner word {word} is not a diagram with {n} chords")
             for (b1, b2) in skeleton:
-                acc = {}
-                for slot, sign in ((b1 - 1, 1), (b1, -1), (b2 - 1, 1), (b2, -1)):
-                    acc[at[slot]] = acc.get(at[slot], 0) + sign
-                terms = {i: c for i, c in acc.items() if c}
-                if terms:
-                    out.append(RelationVector(FOUR_TERM, terms))
+                terms = {at[b1 - 1]: 1, at[b1]: -1, at[b2 - 1]: 1, at[b2]: -1}
+                if len(terms) < 4:
+                    # coincident slides: add their signs and drop what cancels
+                    acc = {}
+                    for slot, sign in ((b1 - 1, 1), (b1, -1), (b2 - 1, 1), (b2, -1)):
+                        acc[at[slot]] = acc.get(at[slot], 0) + sign
+                    terms = {i: c for i, c in acc.items() if c}
+                    if not terms:
+                        continue
+                out.append(RelationVector(FOUR_TERM, terms))
     return out
 
 
@@ -136,16 +172,20 @@ def relation_matrix(n: int, f: Field) -> SparseMatrix:
     one- and four-term relations.
     """
     killed = {i for vec in one_term_relations(n) for i in vec.terms}
-    kept = (i for i in range(len(enumerate_diagrams(n))) if i not in killed)
-    column = {i: j for j, i in enumerate(kept)}
+    # column[i]: the column of diagram i, None for a killed diagram
+    kept = itertools.count()
+    column = [None if i in killed else next(kept) for i in range(len(enumerate_diagrams(n)))]
     entries = {}
     rows = 0
     for vec in _drain(four_term_relations(n) if n >= 2 else []):
-        row = [(column[i], c) for i, c in vec.terms.items() if i in column]
-        for j, c in row:
-            entries[(rows, j)] = c
-        rows += bool(row)
-    return SparseMatrix(rows, len(column), f, entries)
+        hit = False
+        for i, c in vec.terms.items():
+            j = column[i]
+            if j is not None:
+                entries[(rows, j)] = c
+                hit = True
+        rows += hit
+    return SparseMatrix(rows, len(column) - len(killed), f, entries)
 
 
 def check_diagram_capacity(n: int) -> None:

@@ -18,7 +18,7 @@ from oracles import (
 from spectral_knots.chords import dim_A, enumerate_diagrams
 from spectral_knots.cli import RunConfig, run
 from spectral_knots import conf_algebra
-from spectral_knots.conf_algebra import _reduce_cached, basis_monomials, dim_Y, reduce_squarefree
+from spectral_knots.conf_algebra import _reduce_cached, basis_monomials, dim_Y, is_basic, reduce_squarefree
 from spectral_knots.linalg import Field
 from spectral_knots.sinha import (
     ConsistencyError,
@@ -100,6 +100,7 @@ def test_criterion_3_rewriting_oracle_equivalence(monkeypatch):
             for k in range(0, 4):
                 assert word_quotient_dim(l, k, Q) == dim_Y(l, k), (l, k)
         rng = random.Random(1234)
+        chosen = []
         for _ in range(1000):
             l = rng.randint(2, 5)
             k = rng.randint(1, min(4, l * (l + 1) // 2))
@@ -111,6 +112,7 @@ def test_criterion_3_rewriting_oracle_equivalence(monkeypatch):
 
             def chooser(shared):
                 b = rng.choice(sorted(shared))
+                chosen.append(b)
                 a1, a2 = sorted(rng.sample(sorted(shared[b]), 2))
                 return a1, a2, b
 
@@ -118,11 +120,15 @@ def test_criterion_3_rewriting_oracle_equivalence(monkeypatch):
             # the memo is cleared around the patched call, so no random-order
             # result is served to it or stays behind
             _reduce_cached.cache_clear()
+            before = len(chosen)
             with monkeypatch.context() as m:
                 m.setattr(conf_algebra, "_default_choice", chooser)
                 alt = dict(reduce_squarefree(mono))
             _reduce_cached.cache_clear()
             assert default == alt, mono
+            # a non-basic monomial is rewritten only through the patched chooser
+            assert is_basic(mono) or len(chosen) > before, mono
+        assert chosen
 
 
 def sides_agree(lhs, rhs):

@@ -74,13 +74,24 @@ def test_four_term_vector_shape():
             assert set(rel.terms.values()) <= {-1, 1}
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
 def test_four_term_matches_literal_slides(n):
     # same vectors, same order, same term order as the literal slides
     diagrams = enumerate_diagrams(n)
     got = [(v.kind, [(diagrams[i], c) for i, c in v.terms.items()]) for v in four_term_relations(n)]
     want = [(kind, list(terms.items())) for kind, terms in slide_four_term_relations(n)]
     assert got == want
+
+
+@pytest.mark.parametrize("n, vectors, two_term", [(2, 2, 2), (3, 27, 13), (4, 300, 94), (5, 3675, 859)])
+def test_four_term_counts(n, vectors, two_term):
+    rels = four_term_relations(n)
+    assert len(rels) == vectors
+    assert sum(len(v.terms) == 2 for v in rels) == two_term
+    # every (anchor, skeleton, chord) gives a vector but those with the
+    # anchor alone between the chord's ends, (2n-3) (2n-5)!! of them
+    chords_placed = (2 * n - 1) * double_factorial(n - 1) * (n - 1)
+    assert vectors + (2 * n - 3) * double_factorial(n - 2) == chords_placed
 
 
 def test_four_term_slide_outside_the_basis_raises(monkeypatch):
@@ -102,7 +113,7 @@ def test_four_term_three_chords_ambient_space():
         assert set(rel.terms) <= set(range(15))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
 def test_four_term_deduplicated(n):
     # four_term_relations keeps no dedupe set: no vector repeats anyway
     rels = four_term_relations(n)

@@ -112,9 +112,12 @@ def _random_monomial(rng, l, k):
     return tuple(sorted(pairs))
 
 
-def _random_chooser(rng):
+def _random_chooser(rng, chosen):
+    """A chooser taking a random shared larger index and a random pair below
+    it; each choice is appended to ``chosen``, so a test can see it ran."""
     def choose(shared):
         b = rng.choice(sorted(shared))
+        chosen.append(b)
         a1, a2 = sorted(rng.sample(sorted(shared[b]), 2))
         return a1, a2, b
     return choose
@@ -122,6 +125,7 @@ def _random_chooser(rng):
 
 def test_confluence_random_orders(monkeypatch):
     rng = random.Random(20240811)
+    chosen = []
     for _ in range(200):
         l = rng.randint(2, 5)
         k = rng.randint(1, min(4, l * (l + 1) // 2))
@@ -130,11 +134,15 @@ def test_confluence_random_orders(monkeypatch):
         # the memo is cleared around the patched call, so no random-order
         # result is served to it or stays behind
         _reduce_cached.cache_clear()
+        before = len(chosen)
         with monkeypatch.context() as m:
-            m.setattr(conf_algebra, "_default_choice", _random_chooser(rng))
+            m.setattr(conf_algebra, "_default_choice", _random_chooser(rng, chosen))
             alt = dict(reduce_squarefree(mono))
         _reduce_cached.cache_clear()
         assert default == alt, mono
+        # a non-basic monomial is rewritten only through the patched chooser
+        assert is_basic(mono) or len(chosen) > before, mono
+    assert chosen
 
 
 def test_normal_form_idempotent_on_basis():

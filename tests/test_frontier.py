@@ -11,7 +11,7 @@ import pytest
 
 from spectral_knots.chords import dim_A
 from spectral_knots.linalg import Field
-from spectral_knots.sinha import e2_diagonal, normalized_dim_formula
+from spectral_knots.sinha import d1_matrix, e2_diagonal, normalized_dim_formula
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -29,6 +29,13 @@ def test_degree_six_over_f2_is_bar_natans_nine():
 def test_degree_six_over_q_is_bar_natans_nine():
     # the rational path at the frontier, where coefficient growth would show
     assert dim_A(6, Q) == e2_diagonal(6, Q) == 9
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field, rank", [(Q, 2800), (F2, 2799), (Field(3), 2800)])
+def test_d1_from_column_eight_at_k_five_loses_one_rank_over_f2_alone(field, rank):
+    # the next F_2 torsion after d1(7, 4); the rational rank takes about 4 s
+    assert d1_matrix(8, 5, field).rank() == rank
 
 
 # VmHWM, the peak RSS of the process image: a child's ru_maxrss would also

@@ -201,6 +201,15 @@ def test_e2_diagonal_shortcut_matches_full_page():
             assert e2_diagonal(i, field) == page[(-2 * i, 2 * i)], (i, field)
 
 
+@pytest.mark.parametrize("field, dims, rank", [(Q, (2, 0), 211), (F2, (3, 1), 210), (Field(3), (2, 0), 211)])
+def test_e2_page_shows_the_f2_torsion_of_d1(field, dims, rank):
+    # d1 from column 7 to column 6 at k = 4 loses one rank over F_2 alone, so
+    # the kernel at (-7, 8) and the cokernel at (-6, 8) each gain one
+    page = e2_page(8, 4, field)
+    assert (page[(-7, 8)], page[(-6, 8)]) == dims
+    assert d1_matrix(7, 4, field).rank() == rank
+
+
 def adjacent(mono):
     """True when a perfect matching has a factor (i, i+1)."""
     return any(b == a + 1 for (a, b) in mono)
