@@ -26,8 +26,8 @@ neighbour, which fixes two partners; passing its own anchor leaves the
 same diagram and the word unchanged.  Each slot is then one such update
 and one lookup of ``bytes(w)``.  Slides of one chord can coincide besides
 adjacent b1 and b2 (when the anchor is the only point between them all
-four cancel), so only a vector with four distinct slides is written down
-directly; the others add their signs and drop what cancels.
+four cancel), so each vector adds the signs of its four slides and drops
+what cancels.
 """
 
 from __future__ import annotations
@@ -141,16 +141,13 @@ def four_term_relations(n: int):
                 word = list(slides[at.index(None)])
                 raise ConsistencyError(f"slide with partner word {word} is not a diagram with {n} chords")
             for (b1, b2) in skeleton:
-                terms = {at[b1 - 1]: 1, at[b1]: -1, at[b2 - 1]: 1, at[b2]: -1}
-                if len(terms) < 4:
-                    # coincident slides: add their signs and drop what cancels
-                    acc = {}
-                    for slot, sign in ((b1 - 1, 1), (b1, -1), (b2 - 1, 1), (b2, -1)):
-                        acc[at[slot]] = acc.get(at[slot], 0) + sign
-                    terms = {i: c for i, c in acc.items() if c}
-                    if not terms:
-                        continue
-                out.append(RelationVector(FOUR_TERM, terms))
+                # slides can coincide: add their signs and drop what cancels
+                acc = {}
+                for slot, sign in ((b1 - 1, 1), (b1, -1), (b2 - 1, 1), (b2, -1)):
+                    acc[at[slot]] = acc.get(at[slot], 0) + sign
+                terms = {i: c for i, c in acc.items() if c}
+                if terms:
+                    out.append(RelationVector(FOUR_TERM, terms))
     return out
 
 
@@ -178,13 +175,10 @@ def relation_matrix(n: int, f: Field) -> SparseMatrix:
     entries = {}
     rows = 0
     for vec in _drain(four_term_relations(n) if n >= 2 else []):
-        hit = False
-        for i, c in vec.terms.items():
-            j = column[i]
-            if j is not None:
-                entries[(rows, j)] = c
-                hit = True
-        rows += hit
+        row = [(column[i], c) for i, c in vec.terms.items() if column[i] is not None]
+        for j, c in row:
+            entries[(rows, j)] = c
+        rows += bool(row)
     return SparseMatrix(rows, len(column) - len(killed), f, entries)
 
 
