@@ -144,11 +144,12 @@ _CELL_TYPES = {"page": str, "equal": bool}
 def _check_capacity(cfg: RunConfig) -> None:
     """Raise CapacityError, before anything is allocated, when a degree
     i <= n of ``chord`` or ``crosscheck`` has more than CAPACITY_LIMIT chord
-    diagrams.  The Sinha side of degree i allocates the same (2i-1)!!
-    perfect matchings of 2i strands, plus one matrix column per face term
-    of those with no factor (j, j+1), which this check does not count:
-    210650 columns at i = 7, against 135135 matchings.  ``e2`` checks its
-    columns itself, ``kancheck`` its depth.
+    diagrams.  The Sinha side of degree i enumerates only the perfect
+    matchings of 2i strands with no factor (j, j+1), fewer than the
+    (2i-1)!! counted here, plus one matrix column per face term they hit,
+    which this check does not count: 210650 columns at i = 7, against
+    47844 kept of 135135 matchings.  ``e2`` checks its columns itself,
+    ``kancheck`` its depth.
     """
     if cfg.command in ("chord", "crosscheck"):
         check_diagram_capacity(cfg.n)

@@ -81,12 +81,19 @@ def _reduce_cached(mono: tuple) -> tuple:
 
 
 def _rewrite_step(mono, a1, a2, c):
-    """Apply g(a1,c)g(a2,c) = g(a1,a2)g(a2,c) - g(a1,a2)g(a1,c) inside mono."""
-    rest = tuple(p for p in mono if p != (a1, c) and p != (a2, c))
-    for repl, sign in (((a1, a2), (a2, c)), 1), (((a1, a2), (a1, c)), -1):
-        if any(p in rest for p in repl):
-            continue  # recreated an existing factor: square, term dies
-        yield tuple(sorted(rest + repl)), sign
+    """Apply g(a1,c)g(a2,c) = g(a1,a2)g(a2,c) - g(a1,a2)g(a1,c) inside mono,
+    as a tuple of (sorted factor tuple, sign) pairs.
+
+    (a1, c) and (a2, c) are the factors taken out of mono, so neither is in
+    the rest; both terms die, as squares, exactly when (a1, a2) is.
+    """
+    rest = list(mono)
+    rest.remove((a1, c))
+    rest.remove((a2, c))
+    if (a1, a2) in rest:
+        return ()
+    rest.append((a1, a2))
+    return (tuple(sorted(rest + [(a2, c)])), 1), (tuple(sorted(rest + [(a1, c)])), -1)
 
 
 @lru_cache(maxsize=None)

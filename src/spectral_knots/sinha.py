@@ -238,9 +238,10 @@ def e2_diagonal(n_diag: int, f: Field) -> int:
     is d1 on the kept sources, those with no factor (i, i+1) (the mirror of
     the one-term quotient of chord diagrams): one row per kept source, one
     column per face term they hit, numbered in ``basis_order``.  The entry
-    is rows - rank; the target column (2n-1, n) is never enumerated.  A
-    kept source's face term with a tangent class would break the argument
-    and raises ``ConsistencyError``.
+    is rows - rank.  The kept sources are enumerated directly, so neither
+    the diagonal column (2n, n) nor the target column (2n-1, n) is
+    enumerated.  A kept source's face term with a tangent class would break
+    the argument and raises ``ConsistencyError``.
     """
     if n_diag < 1:
         raise ValueError("n_diag must be >= 1")
@@ -251,21 +252,42 @@ def e2_diagonal(n_diag: int, f: Field) -> int:
         )
     if normalized_basis(l + 1, k):
         raise ConsistencyError("normalized column above the diagonal must be empty")
-    d = _kept_face_matrix(l, k, f)
+    d = _kept_face_matrix(l, f)
     return d.rows - d.rank()
 
 
-def _kept_face_matrix(l: int, k: int, f: Field) -> SparseMatrix:
-    """d1 on the sources of column (l, k) with no factor (i, i+1), as one row
-    per such source and one column per face term they hit, the terms
-    numbered in ``basis_order``; a term with a tangent class raises
+def _kept_matchings(l: int) -> list:
+    """Perfect matchings of strands 1..l with no factor (i, i+1), as sorted
+    factor tuples in tuple order, which is ``basis_order`` for monomials with
+    no tangent class.  A depth-first search pairs the smallest free strand a
+    with each larger free one but a + 1 in turn, so the tuples come out in
+    order."""
+    out = []
+
+    def rec(prefix, free):
+        if not free:
+            out.append(prefix)
+            return
+        a = free[0]
+        for j in range(1, len(free)):
+            if free[j] != a + 1:
+                rec(prefix + ((a, free[j]),), free[1:j] + free[j + 1:])
+
+    rec((), tuple(range(1, l + 1)))
+    return out
+
+
+def _kept_face_matrix(l: int, f: Field) -> SparseMatrix:
+    """d1 on the perfect matchings of l strands with no factor (i, i+1), as
+    one row per such source, enumerated by ``_kept_matchings`` and never
+    through ``normalized_basis``, and one column per face term they hit, the
+    terms numbered in ``basis_order``; a term with a tangent class raises
     ``ConsistencyError``.  Each term is held once, numbered as first hit and
     then renumbered, and none is held once the matrix is built."""
     first = {}
     rows = [
         {first.setdefault(m, len(first)): c for m, c in _face_sum(l, src).items()}
-        for src in normalized_basis(l, k)
-        if all(b != a + 1 for (a, b) in src)
+        for src in _kept_matchings(l)
     ]
     number = [0] * len(first)
     for c, m in enumerate(sorted(first, key=basis_order)):

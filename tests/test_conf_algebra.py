@@ -160,6 +160,14 @@ def test_rewrite_memo_holds_only_non_basic_monomials():
     assert _reduce_cached.cache_info().currsize == 1
 
 
+def test_rewrite_step_terms_die_together_on_a_factor_a1_a2():
+    # (a1, c) and (a2, c) are the factors taken out, so neither new term can
+    # recreate one of the rest; both die when (a1, a2) is already a factor
+    step = conf_algebra._rewrite_step
+    assert step(((1, 3), (2, 3)), 1, 2, 3) == ((((1, 2), (2, 3)), 1), (((1, 2), (1, 3)), -1))
+    assert step(((1, 2), (1, 3), (2, 3)), 1, 2, 3) == ()
+
+
 def test_multiply_commutative_and_associative():
     rng = random.Random(99)
     l = 4

@@ -11,7 +11,7 @@ import pytest
 
 from spectral_knots.chords import dim_A
 from spectral_knots.linalg import Field
-from spectral_knots.sinha import d1_matrix, e2_diagonal, normalized_dim_formula
+from spectral_knots.sinha import d1_matrix, e2_diagonal, e2_page, normalized_dim_formula
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -36,6 +36,15 @@ def test_degree_six_over_q_is_bar_natans_nine():
 def test_d1_from_column_eight_at_k_five_loses_one_rank_over_f2_alone(field, rank):
     # the next F_2 torsion after d1(7, 4); the rational rank takes about 4 s
     assert d1_matrix(8, 5, field).rank() == rank
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field, dim", [(Q, 0), (F2, 1), (Field(3), 0)])
+def test_e2_page_row_ten_gains_one_over_f2_beside_d1_from_column_eight(field, dim):
+    # the F_2 rank drop of d1(8, 5) adds one to its kernel at (-8, 10) and
+    # one to the cokernel at (-7, 10); about 16 s for the three fields
+    page = e2_page(9, 5, field)
+    assert (page[(-8, 10)], page[(-7, 10)]) == (dim, dim)
 
 
 # VmHWM, the peak RSS of the process image: a child's ru_maxrss would also
@@ -68,8 +77,8 @@ def test_degree_seven_column_basis_fits_in_memory(tmp_path):
 @pytest.mark.slow
 def test_degree_six_crosscheck_over_f2_fits_in_memory(tmp_path):
     # a cold crosscheck up to n = 6; the F_2 ranks hold no dict rows and no
-    # presolve state, and the Sinha side ranks only its kept sources (peak
-    # about 56 MB)
+    # presolve state, and the Sinha side enumerates and ranks only its kept
+    # sources (peak about 52 MB)
     out, peak_kib = _run_for_peak(
         "from spectral_knots.cli import main\nmain(['--command', 'crosscheck', '--n', '6', '--field', 'fp:2'])\n",
         tmp_path)
@@ -94,8 +103,8 @@ def test_degree_seven_over_f2_is_bar_natans_fourteen_in_bounded_memory(tmp_path)
 @pytest.mark.slow
 def test_degree_seven_sinha_diagonal_over_f2_is_fourteen_in_bounded_memory(tmp_path):
     # e2_diagonal(7) = 14 = dim_A(7) (Bar-Natan, as above), ranked over the
-    # 47844 of 135135 matchings with no factor (i, i+1); the (13, 7) column
-    # is never enumerated (peak about 568 MB)
+    # 47844 of 135135 matchings with no factor (i, i+1), enumerated alone;
+    # neither the (14, 7) nor the (13, 7) column is (peak about 530 MB)
     out, peak_kib = _run_for_peak(
         "from spectral_knots.sinha import e2_diagonal\nfrom spectral_knots.linalg import Field\n"
         "print(e2_diagonal(7, Field(2)))\n", tmp_path)

@@ -238,12 +238,13 @@ def test_adjacent_sources_own_a_private_tangent_row(n):
     assert all(c in dropped for r in tangent for c in rows.get(r, {}))
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 7))
 def test_kept_sources_are_the_one_term_columns(n):
     # a test-side cross-check only: the Sinha side never reads the chord side
     from spectral_knots.chords import relation_matrix
 
     kept = [m for m in normalized_basis(2 * n, n) if not adjacent(m)]
+    assert sinha._kept_matchings(2 * n) == kept
     assert len(kept) == relation_matrix(n, F2).cols
 
 
@@ -251,8 +252,8 @@ def test_e2_diagonal_never_enumerates_the_target_column(monkeypatch):
     real = sinha.normalized_basis
 
     def guarded(l, k):
-        if (l, k) == (7, 4):
-            raise AssertionError("enumerated the column (7, 4)")
+        if (l, k) in ((7, 4), (8, 4)):
+            raise AssertionError(f"enumerated the column ({l}, {k})")
         return real(l, k)
 
     monkeypatch.setattr(sinha, "normalized_basis", guarded)
