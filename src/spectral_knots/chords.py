@@ -5,10 +5,10 @@ line, stored as the sorted tuple of its chords (a, b), a < b; relation
 vectors key a diagram by its index in ``enumerate_diagrams(n)``.  The
 quotient by the one-term relation (isolated chord = 0) and the four-term
 relations has dimension dim_A(n) over any field; the dual space of weight
-systems has the same dimension.  A one-term vector kills a single diagram,
-so ``relation_matrix`` takes that quotient first: it keeps a column only
-for the diagrams no one-term vector kills and ranks the four-term vectors
-restricted to them.
+systems has the same dimension.  The one-term relation of a diagram with
+an isolated chord kills that diagram alone, so ``relation_matrix`` takes
+that quotient first: it keeps a column only for the other diagrams and
+ranks the four-term vectors restricted to them.
 
 Four-term generation: fix a skeleton of n-1 chords plus one unmatched
 point (the anchor of the moving chord) on 2n-1 positions, distinguish a
@@ -37,27 +37,21 @@ import itertools
 
 from .linalg import CAPACITY_LIMIT, CapacityError, ConsistencyError, Field, SparseMatrix
 
-ONE_TERM = "one_term"
-FOUR_TERM = "four_term"
-
 
 class RelationVector:
-    """Signed combination of diagrams, one- or four-term: ``terms`` maps a
-    diagram's index in ``enumerate_diagrams(n)`` to its coefficient, so a
-    relation vector is one row of the relation matrix.  The dict is kept as
-    given, not copied."""
+    """Signed combination of diagrams: ``terms`` maps a diagram's index in
+    ``enumerate_diagrams(n)`` to its coefficient, so a relation vector is
+    one row of the relation matrix.  The dict is kept as given, not
+    copied."""
 
-    __slots__ = ("kind", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, kind: str, terms: dict):
-        if kind not in (ONE_TERM, FOUR_TERM):
-            raise ValueError(f"unknown relation kind {kind!r}")
-        self.kind = kind
+    def __init__(self, terms: dict):
         self.terms = terms
 
     def __repr__(self):
         body = " ".join(f"{c:+d}*[{i}]" for i, c in sorted(self.terms.items()))
-        return f"<{self.kind} {body}>"
+        return f"<RelationVector {body}>"
 
 
 def _matchings(points):
@@ -82,14 +76,11 @@ def enumerate_diagrams(n: int) -> tuple:
     return tuple(_matchings(tuple(range(1, 2 * n + 1))))
 
 
-def one_term_relations(n: int):
-    """One relation per diagram containing an isolated chord."""
+def one_term_relations(n: int) -> list:
+    """Indices of the diagrams with an isolated chord, in enumeration order;
+    the one-term relation of each kills exactly that diagram."""
     # all 2n points are endpoints, so isolated means adjacent endpoints
-    return [
-        RelationVector(ONE_TERM, {i: 1})
-        for i, d in enumerate(enumerate_diagrams(n))
-        if any(b == a + 1 for (a, b) in d)
-    ]
+    return [i for i, d in enumerate(enumerate_diagrams(n)) if any(b == a + 1 for (a, b) in d)]
 
 
 def _word(diagram) -> bytes:
@@ -147,34 +138,28 @@ def four_term_relations(n: int):
                     acc[at[slot]] = acc.get(at[slot], 0) + sign
                 terms = {i: c for i, c in acc.items() if c}
                 if terms:
-                    out.append(RelationVector(FOUR_TERM, terms))
+                    out.append(RelationVector(terms))
     return out
-
-
-def _drain(vectors: list):
-    """Yield the items of a list nothing else holds in order, releasing each
-    one as it is taken, so a vector is freed once it has become a row."""
-    vectors.reverse()
-    while vectors:
-        yield vectors.pop()
 
 
 def relation_matrix(n: int, f: Field) -> SparseMatrix:
     """Four-term vectors as rows over the one-term quotient of the diagrams.
 
-    The columns are the diagrams no ``one_term_relations(n)`` vector kills,
-    numbered in enumeration order.  Each row is one of
-    ``four_term_relations(n)`` restricted to those columns; a row left empty
-    is dropped.  ``cols - rank`` is the dimension of the diagrams modulo the
-    one- and four-term relations.
+    The columns are the diagrams not in ``one_term_relations(n)``, numbered
+    in enumeration order.  Each row is one of ``four_term_relations(n)``
+    restricted to those columns; a row left empty is dropped.
+    ``cols - rank`` is the dimension of the diagrams modulo the one- and
+    four-term relations.
     """
-    killed = {i for vec in one_term_relations(n) for i in vec.terms}
+    killed = set(one_term_relations(n))
     # column[i]: the column of diagram i, None for a killed diagram
     kept = itertools.count()
     column = [None if i in killed else next(kept) for i in range(len(enumerate_diagrams(n)))]
     entries = {}
     rows = 0
-    for vec in _drain(four_term_relations(n) if n >= 2 else []):
+    vectors = four_term_relations(n) if n >= 2 else []
+    for v, vec in enumerate(vectors):
+        vectors[v] = None  # the list no longer holds a vector that has become a row
         row = [(column[i], c) for i, c in vec.terms.items() if column[i] is not None]
         for j, c in row:
             entries[(rows, j)] = c

@@ -41,16 +41,21 @@ EXIT_CAPACITY = 3
 class RunConfig:
     """One request: the command, its sizes and parsed field, and the output
     options.  The constructor raises ValueError on a request no command
-    accepts; a command that does not read ``k_max`` stores 0."""
+    accepts; ``k_max`` may be None only for a command that does not read it,
+    and such a command stores 0."""
 
     __slots__ = ("command", "n", "k_max", "field", "output_format", "cache_dir")
 
-    def __init__(self, command: str, n: int, k_max: int, field_spec: str,
+    def __init__(self, command: str, n: int, k_max: int | None, field_spec: str,
                  output_format: str = "json", cache_dir: str | None = None):
         if command not in _COMMANDS:
             raise ValueError(f"unknown command {command!r}")
         if output_format not in FORMATS:
             raise ValueError(f"unknown output format {output_format!r}")
+        if k_max is None:
+            if command in _READS_K_MAX:
+                raise ValueError(f"--k-max is required for command {command}")
+            k_max = 0
         if n < 1:
             raise ValueError("n must be >= 1")
         if k_max < 0:
@@ -141,20 +146,6 @@ _READS_K_MAX = ("e2", "kancheck")
 _CELL_TYPES = {"page": str, "equal": bool}
 
 
-def _check_capacity(cfg: RunConfig) -> None:
-    """Raise CapacityError, before anything is allocated, when a degree
-    i <= n of ``chord`` or ``crosscheck`` has more than CAPACITY_LIMIT chord
-    diagrams.  The Sinha side of degree i enumerates only the perfect
-    matchings of 2i strands with no factor (j, j+1), fewer than the
-    (2i-1)!! counted here, plus one matrix column per face term they hit,
-    which this check does not count: 210650 columns at i = 7, against
-    47844 kept of 135135 matchings.  ``e2`` checks its columns itself,
-    ``kancheck`` its depth.
-    """
-    if cfg.command in ("chord", "crosscheck"):
-        check_diagram_capacity(cfg.n)
-
-
 def _utc_timestamp() -> str:
     """The current UTC time in ISO 8601, ``YYYY-MM-DDTHH:MM:SS[.ffffff]+00:00``
     (the microseconds are left out when they are zero)."""
@@ -165,7 +156,9 @@ def _utc_timestamp() -> str:
 
 def run(cfg: RunConfig) -> ResultRecord:
     """Execute a request, consulting and updating the cache."""
-    _check_capacity(cfg)
+    # e2 checks its columns itself, kancheck its depth
+    if cfg.command in ("chord", "crosscheck"):
+        check_diagram_capacity(cfg.n)
     fp = cfg.fingerprint()
     cache = ResultCache(cfg.resolved_cache_dir())
     cached = cache.load(fp)
@@ -224,17 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    k_max = args.k_max
-    if k_max is None:
-        if args.command in _READS_K_MAX:
-            print(f"error: --k-max is required for command {args.command}", file=sys.stderr)
-            return EXIT_USAGE
-        k_max = 0
     try:
         cfg = RunConfig(
             command=args.command,
             n=args.n,
-            k_max=k_max,
+            k_max=args.k_max,
             field_spec=args.field,
             output_format=args.output_format,
             cache_dir=args.cache_dir,

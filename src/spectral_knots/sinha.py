@@ -236,12 +236,13 @@ def e2_diagonal(n_diag: int, f: Field) -> int:
     class.  So each such source is the only nonzero of a target row of its
     own, adds 1 to the rank, and leaves the kernel alone.  What is ranked
     is d1 on the kept sources, those with no factor (i, i+1) (the mirror of
-    the one-term quotient of chord diagrams): one row per kept source, one
-    column per face term they hit, numbered in ``basis_order``.  The entry
-    is rows - rank.  The kept sources are enumerated directly, so neither
-    the diagonal column (2n, n) nor the target column (2n-1, n) is
-    enumerated.  A kept source's face term with a tangent class would break
-    the argument and raises ``ConsistencyError``.
+    the one-term quotient of chord diagrams), in d1's orientation: one row
+    per face term they hit, numbered in ``basis_order``, and one column per
+    kept source.  The entry is cols - rank.  The kept sources are
+    enumerated directly, so neither the diagonal column (2n, n) nor the
+    target column (2n-1, n) is enumerated.  A kept source's face term with
+    a tangent class would break the argument and raises
+    ``ConsistencyError``.
     """
     if n_diag < 1:
         raise ValueError("n_diag must be >= 1")
@@ -253,7 +254,7 @@ def e2_diagonal(n_diag: int, f: Field) -> int:
     if normalized_basis(l + 1, k):
         raise ConsistencyError("normalized column above the diagonal must be empty")
     d = _kept_face_matrix(l, f)
-    return d.rows - d.rank()
+    return d.cols - d.rank()
 
 
 def _kept_matchings(l: int) -> list:
@@ -278,24 +279,25 @@ def _kept_matchings(l: int) -> list:
 
 
 def _kept_face_matrix(l: int, f: Field) -> SparseMatrix:
-    """d1 on the perfect matchings of l strands with no factor (i, i+1), as
-    one row per such source, enumerated by ``_kept_matchings`` and never
-    through ``normalized_basis``, and one column per face term they hit, the
-    terms numbered in ``basis_order``; a term with a tangent class raises
-    ``ConsistencyError``.  Each term is held once, numbered as first hit and
-    then renumbered, and none is held once the matrix is built."""
+    """d1 on the perfect matchings of l strands with no factor (i, i+1), in
+    d1's orientation: one column per such source, enumerated by
+    ``_kept_matchings`` and never through ``normalized_basis``, and one row
+    per face term they hit.  The terms have no tangent class (one that has
+    raises ``ConsistencyError``), so they are numbered in ``basis_order`` by
+    a sort without a key.  Each term is held once, numbered as first hit
+    and then renumbered, and none is held once the matrix is built."""
     first = {}
-    rows = [
-        {first.setdefault(m, len(first)): c for m, c in _face_sum(l, src).items()}
+    cols = [
+        {first.setdefault(m, len(first)): v for m, v in _face_sum(l, src).items()}
         for src in _kept_matchings(l)
     ]
     number = [0] * len(first)
-    for c, m in enumerate(sorted(first, key=basis_order)):
+    for r, m in enumerate(sorted(first)):
         if any(a == b for (a, b) in m):
             raise ConsistencyError(f"face term {m!r} of a source with no factor (i, i+1) has a tangent class")
-        number[first[m]] = c
-    entries = {(r, number[j]): c for r, row in enumerate(rows) for j, c in row.items()}
-    return SparseMatrix(len(rows), len(number), f, entries)
+        number[first[m]] = r
+    entries = {(number[j], c): v for c, col in enumerate(cols) for j, v in col.items()}
+    return SparseMatrix(len(number), len(cols), f, entries)
 
 
 def vassiliev_e1_view(page: dict) -> dict:

@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from spectral_knots.chords import FOUR_TERM, _matchings, enumerate_diagrams, four_term_relations, one_term_relations
+from spectral_knots.chords import _matchings, enumerate_diagrams, four_term_relations, one_term_relations
 from spectral_knots.conf_algebra import basis_monomials, dim_Y, reduce_squarefree
 from spectral_knots.linalg import Field, SparseMatrix
 from spectral_knots.sinha import normalized_basis
@@ -166,8 +166,8 @@ def degeneracy_quotient_dim(l: int, k: int, field: Field) -> int:
 
 
 def slide_four_term_relations(n: int):
-    """Four-term vectors by literal slides, as ``(kind, terms)`` with terms
-    keyed by sorted pair tuples.
+    """Four-term vectors by literal slides, as terms dicts keyed by sorted
+    pair tuples.
 
     Skeleton, distinguished chord and slot order as in
     ``chords.four_term_relations``.  Each slide is canonicalised to a sorted
@@ -194,17 +194,18 @@ def slide_four_term_relations(n: int):
                 key = tuple(sorted(acc.items()))
                 if acc and key not in seen:
                     seen.add(key)
-                    out.append((FOUR_TERM, acc))
+                    out.append(acc)
     return out
 
 
 def unquotiented_relation_matrix(n: int, field: Field, rels=None) -> SparseMatrix:
-    """Relation vectors stacked as rows over all (2n-1)!! diagrams; by
-    default the one- and four-term vectors, the relation matrix before the
-    one-term quotient."""
+    """Relations, each a dict {diagram index: coefficient}, stacked as rows
+    over all (2n-1)!! diagrams; by default the one- and four-term relations,
+    the relation matrix before the one-term quotient."""
     if rels is None:
-        rels = one_term_relations(n) + (four_term_relations(n) if n >= 2 else [])
-    entries = {(r, i): c for r, vec in enumerate(rels) for i, c in vec.terms.items()}
+        rels = [{i: 1} for i in one_term_relations(n)]
+        rels += [v.terms for v in (four_term_relations(n) if n >= 2 else [])]
+    entries = {(r, i): c for r, terms in enumerate(rels) for i, c in terms.items()}
     return SparseMatrix(len(rels), len(enumerate_diagrams(n)), field, entries)
 
 

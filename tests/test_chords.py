@@ -3,8 +3,7 @@ import pytest
 from oracles import dense_rows, naive_rank, slide_four_term_relations, unquotiented_relation_matrix
 from spectral_knots import CapacityError, chords
 from spectral_knots.chords import (
-    FOUR_TERM,
-    ONE_TERM,
+    RelationVector,
     dim_A,
     enumerate_diagrams,
     four_term_relations,
@@ -53,22 +52,20 @@ def test_enumerated_diagrams_are_sorted_perfect_matchings():
 
 
 def test_one_term_single_chord():
-    rels = one_term_relations(1)
-    assert len(rels) == 1
-    assert rels[0].kind == ONE_TERM
-    assert list(rels[0].terms.values()) == [1]
+    assert one_term_relations(1) == [0]
 
 
 def test_one_term_two_chords():
-    rels = one_term_relations(2)
-    killed = {enumerate_diagrams(2)[i] for rel in rels for i in rel.terms}
-    assert killed == {((1, 2), (3, 4)), ((1, 4), (2, 3))}
+    # indices of the killed diagrams, in enumeration order
+    assert one_term_relations(2) == [0, 2]
+    killed = [enumerate_diagrams(2)[i] for i in one_term_relations(2)]
+    assert killed == [((1, 2), (3, 4)), ((1, 4), (2, 3))]
 
 
 def test_four_term_vector_shape():
     for n in (2, 3, 4):
         for rel in four_term_relations(n):
-            assert rel.kind == FOUR_TERM
+            assert type(rel) is RelationVector
             assert 1 <= len(rel.terms) <= 4
             assert sum(rel.terms.values()) == 0
             assert set(rel.terms.values()) <= {-1, 1}
@@ -78,8 +75,8 @@ def test_four_term_vector_shape():
 def test_four_term_matches_literal_slides(n):
     # same vectors, same order, same term order as the literal slides
     diagrams = enumerate_diagrams(n)
-    got = [(v.kind, [(diagrams[i], c) for i, c in v.terms.items()]) for v in four_term_relations(n)]
-    want = [(kind, list(terms.items())) for kind, terms in slide_four_term_relations(n)]
+    got = [[(diagrams[i], c) for i, c in v.terms.items()] for v in four_term_relations(n)]
+    want = [list(terms.items()) for terms in slide_four_term_relations(n)]
     assert got == want
     # every (anchor, skeleton, chord) gives a vector but those with the
     # anchor alone between the chord's ends, (2n-3) (2n-5)!! of them
@@ -116,7 +113,7 @@ def test_four_term_deduplicated(n):
 
 def test_relation_vector_keeps_its_dict():
     terms = {0: 1, 2: -1}
-    assert chords.RelationVector(FOUR_TERM, terms).terms is terms
+    assert RelationVector(terms).terms is terms
 
 
 def test_dim_A_one():
@@ -154,7 +151,7 @@ def test_relation_matrix_columns_are_the_one_term_quotient(n, field):
 
 
 def test_relation_matrix_drops_rows_left_empty():
-    # 16 of the 27 four-term vectors lie on diagrams the one-term vectors
+    # 16 of the 27 four-term vectors lie on diagrams the one-term relations
     # kill, so restricted to the quotient's 5 columns they are empty
     assert len(four_term_relations(3)) == 27
     m = relation_matrix(3, Q)
@@ -196,11 +193,8 @@ def test_reflection_invariance():
         index = {d: i for i, d in enumerate(diagrams)}
         m = 2 * n + 1
         mirror = [index[tuple(sorted((m - b, m - a) for (a, b) in d))] for d in diagrams]
-        rels = one_term_relations(n) + four_term_relations(n)
-        reflected = [
-            type(rel)(rel.kind, {mirror[i]: c for i, c in rel.terms.items()})
-            for rel in rels
-        ]
+        rels = [{i: 1} for i in one_term_relations(n)] + [v.terms for v in four_term_relations(n)]
+        reflected = [{mirror[i]: c for i, c in terms.items()} for terms in rels]
         mat = unquotiented_relation_matrix(n, Q, reflected)
         assert base.cols - base.rank() == mat.cols - mat.rank()
 
@@ -210,3 +204,51 @@ def test_prime_field_dimension_at_least_rational(p):
     fp = Field(p)
     for n in (1, 2, 3, 4):
         assert dim_A(n, fp) >= dim_A(n, Q)
+
+
+# Over Q the diagrams modulo 1T and 4T form a polynomial algebra on their
+# primitives (Milnor & Moore, Ann. of Math. 81, 1965), so dim_A(n) is the
+# coefficient of t^n in prod_k (1 - t^k)^(-p_k).  p_k is the dimension of
+# the indecomposables: the 1T/4T quotient in which every split diagram,
+# a product of two smaller ones, is zero too.
+
+
+def split(diagram):
+    """True when a cut between points c and c+1, 1 <= c < 2n, is crossed
+    by no chord."""
+    return any(all(not a <= c < b for (a, b) in diagram) for c in range(1, 2 * len(diagram)))
+
+
+def primitive_dim(n):
+    """p_n over Q: the kept diagrams that are not split, less the rank of
+    the four-term rows restricted to them."""
+    killed = set(one_term_relations(n))
+    kept = [i for i, d in enumerate(enumerate_diagrams(n)) if i not in killed and not split(d)]
+    column = {i: j for j, i in enumerate(kept)}
+    vectors = four_term_relations(n) if n >= 2 else []
+    entries = {(r, column[i]): c for r, v in enumerate(vectors) for i, c in v.terms.items() if i in column}
+    return len(kept) - SparseMatrix(len(vectors), len(kept), Q, entries).rank()
+
+
+def polynomial_dims(p, top):
+    """Coefficients of t^1..t^top in prod_k (1 - t^k)^(-p[k-1])."""
+    coef = [1] + [0] * top
+    for k, pk in enumerate(p, start=1):
+        for _ in range(pk):  # one factor 1 / (1 - t^k) per primitive of degree k
+            for i in range(k, top + 1):
+                coef[i] += coef[i - k]
+    return coef[1:]
+
+
+def test_milnor_moore_primitives_give_dim_A_over_q():
+    p = [primitive_dim(n) for n in range(1, 6)]
+    assert p == [0, 1, 1, 2, 3]
+    assert polynomial_dims(p, 5) == [dim_A(n, Q) for n in range(1, 6)] == [0, 1, 1, 3, 4]
+
+
+@pytest.mark.slow
+def test_milnor_moore_sixth_primitive_gives_bar_natans_nine():
+    p6 = primitive_dim(6)
+    assert p6 == 5
+    # Bar-Natan's dim_A(6) = 9 over Q, pinned by tests/test_frontier.py
+    assert polynomial_dims([0, 1, 1, 2, 3, p6], 6) == [0, 1, 1, 3, 4, 9]

@@ -13,6 +13,7 @@ import pytest
 import spectral_knots
 from spectral_knots import cli, sinha
 from spectral_knots.cache import ResultCache, fingerprint, source_digest
+from spectral_knots.chords import check_diagram_capacity
 from spectral_knots.cli import (
     EXIT_CAPACITY,
     EXIT_MISMATCH,
@@ -94,9 +95,17 @@ def test_bad_n_is_usage_error(capsys):
 
 
 def test_missing_k_max_is_usage_error(capsys):
-    code, _, err = invoke(capsys, "--command", "e2", "--n", "2")
-    assert code == EXIT_USAGE
-    assert "k-max" in err
+    # one line, checked before --n and the field
+    for command, n in (("e2", "0"), ("kancheck", "2")):
+        code, out, err = invoke(capsys, "--command", command, "--n", n, "--field", "fp:4")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.encode() == f"error: --k-max is required for command {command}\n".encode()
+
+
+def test_k_max_may_be_omitted_only_where_unread():
+    assert RunConfig(command="chord", n=3, k_max=None, field_spec="q").k_max == 0
+    with pytest.raises(ValueError, match="--k-max is required for command e2"):
+        RunConfig(command="e2", n=3, k_max=None, field_spec="q")
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -202,7 +211,7 @@ def test_capacity_preflight_before_any_work(command, capsys, monkeypatch):
     assert out == ""
     assert "2027025 chord diagrams" in err
     # n = 7 (135135 diagrams) is still admitted
-    cli._check_capacity(RunConfig(command=command, n=7, k_max=0, field_spec="q"))
+    check_diagram_capacity(7)
 
 
 @pytest.mark.parametrize("command", ["chord", "crosscheck"])

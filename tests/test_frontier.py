@@ -11,7 +11,7 @@ import pytest
 
 from spectral_knots.chords import dim_A
 from spectral_knots.linalg import Field
-from spectral_knots.sinha import d1_matrix, e2_diagonal, e2_page, normalized_dim_formula
+from spectral_knots.sinha import _kept_face_matrix, d1_matrix, e2_diagonal, e2_page, normalized_dim_formula
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -28,7 +28,8 @@ def test_degree_six_over_f2_is_bar_natans_nine():
 @pytest.mark.slow
 def test_degree_six_over_q_is_bar_natans_nine():
     # the rational path at the frontier, where coefficient growth would show
-    assert dim_A(6, Q) == e2_diagonal(6, Q) == 9
+    m = _kept_face_matrix(12, Q)
+    assert dim_A(6, Q) == e2_diagonal(6, Q) == m.cols - m.rank() == 9
 
 
 @pytest.mark.slow

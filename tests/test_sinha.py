@@ -6,7 +6,7 @@ import pytest
 from oracles import degeneracy_quotient_dim, face_sum_d1, inclusion_exclusion_dim
 from spectral_knots.conf_algebra import _reduce_cached, basis_monomials
 from spectral_knots import sinha
-from spectral_knots.linalg import CAPACITY_LIMIT, ComplexError, Field
+from spectral_knots.linalg import CAPACITY_LIMIT, ComplexError, Field, SparseMatrix
 from spectral_knots.sinha import (
     CapacityError,
     ConsistencyError,
@@ -241,11 +241,23 @@ def test_adjacent_sources_own_a_private_tangent_row(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_kept_sources_are_the_one_term_columns(n):
     # a test-side cross-check only: the Sinha side never reads the chord side
-    from spectral_knots.chords import relation_matrix
+    from spectral_knots.chords import enumerate_diagrams, one_term_relations, relation_matrix
 
     kept = [m for m in normalized_basis(2 * n, n) if not adjacent(m)]
     assert sinha._kept_matchings(2 * n) == kept
-    assert len(kept) == relation_matrix(n, F2).cols
+    killed = set(one_term_relations(n))
+    assert kept == [d for i, d in enumerate(enumerate_diagrams(n)) if i not in killed]
+    # d1's orientation: column j, the chord side's column j, is the face sum
+    # of kept[j], and the rows are the face terms in sorted order
+    sums = [sinha._face_sum(2 * n, m) for m in kept]
+    row = {t: r for r, t in enumerate(sorted({t for s in sums for t in s}))}
+    for field in (F2, Q):
+        m = sinha._kept_face_matrix(2 * n, field)
+        assert m.cols == relation_matrix(n, field).cols == len(kept)
+        entries = {(row[t], j): c for j, s in enumerate(sums) for t, c in s.items()}
+        assert m == SparseMatrix(len(row), len(kept), field, entries)
+        if (n, field) != (6, Q):  # ranked in tests/test_frontier.py: it takes seconds
+            assert e2_diagonal(n, field) == m.cols - m.rank()
 
 
 def test_e2_diagonal_never_enumerates_the_target_column(monkeypatch):
