@@ -1,4 +1,6 @@
-"""Persistent result cache: one JSON file per config fingerprint.
+"""Persistent result cache: one JSON file per fingerprint, a hash of the run
+configuration plus the package's source bytes.  A record is the four fields
+of a ``ResultRecord``, written as ``json.dumps(record._asdict(), sort_keys=True)``.
 
 Writes are atomic (temp file + rename).  A corrupt or mismatched cache
 file is treated as a miss; callers recompute and overwrite, never serve
@@ -12,14 +14,15 @@ import json
 import os
 import sys
 import tempfile
+from collections import namedtuple
 from functools import lru_cache
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
-def fingerprint(config: dict, version: str) -> str:
-    """Stable hash of a run configuration plus the code version."""
-    blob = json.dumps({"config": config, "version": version}, sort_keys=True)
+def fingerprint(config: dict) -> str:
+    """Stable hash of a run configuration (the CLI's includes ``source_digest()``)."""
+    blob = json.dumps(config, sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -40,46 +43,9 @@ def source_digest(package_dir: str = _PACKAGE_DIR) -> str:
     return h.hexdigest()
 
 
-class ResultRecord:
-    """One computed result: its run fingerprint, the payload the CLI prints,
-    the compute time in seconds and an ISO 8601 UTC timestamp."""
-
-    __slots__ = ("fingerprint", "payload", "wall_time", "timestamp")
-
-    def __init__(self, fingerprint: str, payload: dict, wall_time: float, timestamp: str):
-        self.fingerprint = fingerprint
-        self.payload = payload
-        self.wall_time = wall_time
-        self.timestamp = timestamp
-
-    def __eq__(self, other):
-        if not isinstance(other, ResultRecord):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def to_dict(self) -> dict:
-        """The four fields as a plain dict; the payload is shared, not copied."""
-        return {
-            "fingerprint": self.fingerprint,
-            "payload": self.payload,
-            "wall_time": self.wall_time,
-            "timestamp": self.timestamp,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ResultRecord":
-        """Rebuild a record; ``TypeError`` when a field has the wrong type."""
-        for key, types in (("fingerprint", str), ("timestamp", str), ("payload", dict)):
-            if not isinstance(d[key], types):
-                raise TypeError(f"{key} is a {type(d[key]).__name__}, not a {types.__name__}")
-        if isinstance(d["wall_time"], bool) or not isinstance(d["wall_time"], (int, float)):
-            raise TypeError(f"wall_time is a {type(d['wall_time']).__name__}, not a number")
-        return cls(
-            fingerprint=d["fingerprint"],
-            payload=d["payload"],
-            wall_time=d["wall_time"],
-            timestamp=d["timestamp"],
-        )
+# One computed result: its run fingerprint, the payload the CLI prints, the
+# compute time in seconds and an ISO 8601 UTC timestamp.
+ResultRecord = namedtuple("ResultRecord", "fingerprint payload wall_time timestamp")
 
 
 class ResultCache:
@@ -97,7 +63,12 @@ class ResultCache:
         try:
             with open(path, "r", encoding="utf-8") as f:
                 data = json.load(f)
-            record = ResultRecord.from_dict(data)
+            for key, types in (("fingerprint", str), ("timestamp", str), ("payload", dict)):
+                if not isinstance(data[key], types):
+                    raise TypeError(f"{key} is a {type(data[key]).__name__}, not a {types.__name__}")
+            if isinstance(data["wall_time"], bool) or not isinstance(data["wall_time"], (int, float)):
+                raise TypeError(f"wall_time is a {type(data['wall_time']).__name__}, not a number")
+            record = ResultRecord(data["fingerprint"], data["payload"], data["wall_time"], data["timestamp"])
         except (ValueError, RecursionError, KeyError, TypeError, OSError) as exc:
             print(f"warning: ignoring corrupt cache file {path}: {exc}", file=sys.stderr)
             return None
@@ -112,7 +83,7 @@ class ResultCache:
             os.makedirs(self.cache_dir, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as f:  # dumps runs the C encoder, dump does not
-                f.write(json.dumps(record.to_dict(), sort_keys=True))
+                f.write(json.dumps(record._asdict(), sort_keys=True))
             os.replace(tmp, self.path(record.fingerprint))
         except OSError as exc:
             print(f"warning: result not cached, cannot write {self.cache_dir}: {exc}", file=sys.stderr)

@@ -103,8 +103,6 @@ def four_term_relations(n: int):
     repeated row could not change a rank, so none is held to deduplicate
     against.
     """
-    if n < 2:
-        raise ValueError("four-term relations need n >= 2")
     index = {_word(d): i for i, d in enumerate(enumerate_diagrams(n))}
     npts = 2 * n - 1
     bases = list(_matchings(tuple(range(1, npts))))
@@ -157,7 +155,7 @@ def relation_matrix(n: int, f: Field) -> SparseMatrix:
     column = [None if i in killed else next(kept) for i in range(len(enumerate_diagrams(n)))]
     entries = {}
     rows = 0
-    vectors = four_term_relations(n) if n >= 2 else []
+    vectors = four_term_relations(n)
     for v, vec in enumerate(vectors):
         vectors[v] = None  # the list no longer holds a vector that has become a row
         row = [(column[i], c) for i, c in vec.terms.items() if column[i] is not None]

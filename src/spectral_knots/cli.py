@@ -13,7 +13,7 @@ Commands:
 Exit codes: 0 success, 1 crosscheck or kancheck mismatch, 2 usage error, 3 capacity
 exceeded.  Results are cached under ``--cache-dir`` (overridden by the
 SPECTRAL_KNOTS_CACHE environment variable), keyed by a fingerprint of the
-configuration and code version.
+configuration plus the bytes of the package's source files.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import os
 import sys
 import time
 
-from . import __version__
 from .cache import ResultCache, ResultRecord, fingerprint, source_digest
 from .chords import check_diagram_capacity, dim_A
 from .linalg import CapacityError, Field
@@ -75,7 +74,7 @@ class RunConfig:
             "field_spec": self.field.spec(),
             "source": source_digest(),
         }
-        return fingerprint(key, __version__)
+        return fingerprint(key)
 
     def resolved_cache_dir(self) -> str:
         env = os.environ.get("SPECTRAL_KNOTS_CACHE")

@@ -204,7 +204,7 @@ def unquotiented_relation_matrix(n: int, field: Field, rels=None) -> SparseMatri
     the relation matrix before the one-term quotient."""
     if rels is None:
         rels = [{i: 1} for i in one_term_relations(n)]
-        rels += [v.terms for v in (four_term_relations(n) if n >= 2 else [])]
+        rels += [v.terms for v in four_term_relations(n)]
     entries = {(r, i): c for r, terms in enumerate(rels) for i, c in terms.items()}
     return SparseMatrix(len(rels), len(enumerate_diagrams(n)), field, entries)
 

@@ -26,7 +26,7 @@ def make_record(fp):
 
 def test_roundtrip(tmp_path):
     cache = ResultCache(str(tmp_path))
-    fp = fingerprint({"command": "e2", "n": 2}, "0.1.0")
+    fp = fingerprint({"command": "e2", "n": 2})
     record = make_record(fp)
     cache.store(record)
     loaded = cache.load(fp)
@@ -34,35 +34,40 @@ def test_roundtrip(tmp_path):
 
 
 def test_records_differing_in_one_field_are_unequal():
-    fp = fingerprint({"command": "e2", "n": 2}, "0.1.0")
+    fp = fingerprint({"command": "e2", "n": 2})
     record = make_record(fp)
     for field, value in (("fingerprint", "0" * 64), ("payload", {}), ("wall_time", 0.5), ("timestamp", "")):
-        data = record.to_dict()
+        data = record._asdict()
         data[field] = value
         assert ResultRecord(**data) != record
 
 
 def test_store_writes_one_json_dumps_without_copying(tmp_path):
     cache = ResultCache(str(tmp_path))
-    record = make_record(fingerprint({"command": "e2", "n": 2}, "0.1.0"))
-    assert record.to_dict()["payload"] is record.payload
+    record = make_record("0123456789abcdef" * 4)
+    assert record._asdict()["payload"] is record.payload
     cache.store(record)
+    # the cache file format, byte for byte: sorted keys, default separators
     with open(cache.path(record.fingerprint), "rb") as f:
-        assert f.read() == json.dumps(record.to_dict(), sort_keys=True).encode("utf-8")
+        assert f.read() == (
+            b'{"fingerprint": "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef", '
+            b'"payload": {"field": "q", "n": 2, "pages": {}}, '
+            b'"timestamp": "2026-01-01T00:00:00+00:00", "wall_time": 0.25}'
+        )
 
 
 def test_fingerprint_sensitivity():
-    a = fingerprint({"command": "e2", "n": 2}, "0.1.0")
-    b = fingerprint({"command": "e2", "n": 3}, "0.1.0")
-    c = fingerprint({"command": "e2", "n": 2}, "0.2.0")
+    a = fingerprint({"command": "e2", "n": 2})
+    b = fingerprint({"command": "e2", "n": 3})
+    c = fingerprint({"command": "chord", "n": 2})
     assert len({a, b, c}) == 3
 
 
 def test_mutated_fingerprint_misses(tmp_path):
     cache = ResultCache(str(tmp_path))
-    fp = fingerprint({"command": "e2", "n": 2}, "0.1.0")
+    fp = fingerprint({"command": "e2", "n": 2})
     cache.store(make_record(fp))
-    other = fingerprint({"command": "e2", "n": 5}, "0.1.0")
+    other = fingerprint({"command": "e2", "n": 5})
     assert cache.load(other) is None
     # a record whose stored fingerprint disagrees with its key is a miss too
     path = cache.path(fp)
@@ -81,7 +86,7 @@ def test_mutated_fingerprint_misses(tmp_path):
 )
 def test_truncated_file_recomputes(tmp_path, capsys, content):
     cache = ResultCache(str(tmp_path))
-    fp = fingerprint({"command": "e2", "n": 2}, "0.1.0")
+    fp = fingerprint({"command": "e2", "n": 2})
     cache.store(make_record(fp))
     path = cache.path(fp)
     with open(path, "wb") as f:
@@ -105,7 +110,7 @@ def test_truncated_file_recomputes(tmp_path, capsys, content):
 def test_arbitrary_bytes_never_raise(content):
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(tmp)
-        fp = fingerprint({"command": "e2", "n": 2}, "0.1.0")
+        fp = fingerprint({"command": "e2", "n": 2})
         with open(cache.path(fp), "wb") as f:
             f.write(content)
         with contextlib.redirect_stderr(io.StringIO()):
@@ -119,9 +124,9 @@ def test_arbitrary_bytes_never_raise(content):
 )
 def test_wrongly_typed_record_is_a_miss(tmp_path, capsys, field, value):
     cache = ResultCache(str(tmp_path))
-    fp = fingerprint({"command": "e2", "n": 2}, "0.1.0")
+    fp = fingerprint({"command": "e2", "n": 2})
     cache.store(make_record(fp))
-    data = make_record(fp).to_dict()
+    data = make_record(fp)._asdict()
     data[field] = value
     with open(cache.path(fp), "w") as f:
         json.dump(data, f)
@@ -131,7 +136,7 @@ def test_wrongly_typed_record_is_a_miss(tmp_path, capsys, field, value):
 
 def test_store_is_atomic_no_stray_temp_files(tmp_path):
     cache = ResultCache(str(tmp_path))
-    fp = fingerprint({"command": "chord", "n": 3}, "0.1.0")
+    fp = fingerprint({"command": "chord", "n": 3})
     cache.store(make_record(fp))
     names = os.listdir(tmp_path)
     assert names == [f"{fp}.json"]
@@ -141,7 +146,7 @@ def test_unwritable_cache_dir_is_a_miss_not_an_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
     cache = ResultCache(str(blocker / "cache"))
-    fp = fingerprint({"command": "e2", "n": 2}, "0.1.0")
+    fp = fingerprint({"command": "e2", "n": 2})
     cache.store(make_record(fp))
     assert "warning: result not cached" in capsys.readouterr().err
     assert cache.load(fp) is None
@@ -166,8 +171,18 @@ def test_one_source_byte_changes_the_fingerprint(tmp_path):
     before_digest = source_digest(str(pkg))
     before = _cli_fingerprint(tmp_path)
     source = pkg / "chords.py"
-    data = bytearray(source.read_bytes())
+    original = source.read_bytes()
+    data = bytearray(original)
     data[3] ^= 0x20  # the first letter of the module docstring changes case
     source.write_bytes(bytes(data))
     assert source_digest.__wrapped__(str(pkg)) != before_digest
+    assert _cli_fingerprint(tmp_path) != before
+    source.write_bytes(original)
+    assert _cli_fingerprint(tmp_path) == before
+    # the version is in __init__.py, so the digest covers it: no separate key
+    init = pkg / "__init__.py"
+    line = f'__version__ = "{spectral_knots.__version__}"'
+    text = init.read_text(encoding="utf-8")
+    assert line in text
+    init.write_text(text.replace(line, '__version__ = "0.0.0+bumped"'), encoding="utf-8")
     assert _cli_fingerprint(tmp_path) != before

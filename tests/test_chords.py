@@ -91,9 +91,9 @@ def test_four_term_slide_outside_the_basis_raises(monkeypatch):
         four_term_relations(3)
 
 
-def test_four_term_needs_two_chords():
-    with pytest.raises(ValueError):
-        four_term_relations(1)
+def test_four_term_below_two_chords_is_empty():
+    # no skeleton has a chord to slide along, so the walk yields nothing
+    assert four_term_relations(0) == four_term_relations(1) == []
 
 
 def test_four_term_three_chords_ambient_space():
@@ -225,7 +225,7 @@ def primitive_dim(n):
     killed = set(one_term_relations(n))
     kept = [i for i, d in enumerate(enumerate_diagrams(n)) if i not in killed and not split(d)]
     column = {i: j for j, i in enumerate(kept)}
-    vectors = four_term_relations(n) if n >= 2 else []
+    vectors = four_term_relations(n)
     entries = {(r, column[i]): c for r, v in enumerate(vectors) for i, c in v.terms.items() if i in column}
     return len(kept) - SparseMatrix(len(vectors), len(kept), Q, entries).rank()
 

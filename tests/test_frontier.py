@@ -11,7 +11,14 @@ import pytest
 
 from spectral_knots.chords import dim_A
 from spectral_knots.linalg import Field
-from spectral_knots.sinha import _kept_face_matrix, d1_matrix, e2_diagonal, e2_page, normalized_dim_formula
+from spectral_knots.sinha import (
+    _kept_face_matrix,
+    d1_matrix,
+    e2_diagonal,
+    e2_page,
+    normalized_basis,
+    normalized_dim_formula,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -37,6 +44,24 @@ def test_degree_six_over_q_is_bar_natans_nine():
 def test_d1_from_column_eight_at_k_five_loses_one_rank_over_f2_alone(field, rank):
     # the next F_2 torsion after d1(7, 4); the rational rank takes about 4 s
     assert d1_matrix(8, 5, field).rank() == rank
+
+
+@pytest.mark.slow
+def test_d1_loses_rank_mod_p_only_at_two_maps_over_f2_for_k_up_to_five():
+    # the complete F_p rank-drop map of d1 for k <= 5: every map with a
+    # nonempty source and target column, ranked over Q, F_2, F_3 and F_5
+    # (about 17 s); only d1(7, 4) and d1(8, 5) drop, by one, over F_2 alone
+    maps = [(l, k) for k in range(6) for l in range(1, 2 * k + 2)
+            if normalized_basis(l, k) and normalized_basis(l - 1, k)]
+    assert len(maps) == 19
+    drops = {}
+    for l, k in maps:
+        rank_q = d1_matrix(l, k, Q).rank()
+        for field in (F2, Field(3), Field(5)):
+            rank_p = d1_matrix(l, k, field).rank()
+            if rank_p != rank_q:
+                drops[(l, k, field.spec())] = (rank_q, rank_p)
+    assert drops == {(7, 4, "fp:2"): (211, 210), (8, 5, "fp:2"): (2800, 2799)}
 
 
 @pytest.mark.slow
