@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from spectral_knots.chords import _matchings, enumerate_diagrams, four_term_relations, one_term_relations
+from spectral_knots.chords import _matchings, enumerate_diagrams
 from spectral_knots.conf_algebra import basis_monomials, dim_Y, reduce_squarefree
 from spectral_knots.linalg import Field, SparseMatrix
 from spectral_knots.sinha import normalized_basis
@@ -165,18 +165,16 @@ def degeneracy_quotient_dim(l: int, k: int, field: Field) -> int:
 # matrix assembly, built literally from the public objects
 
 
-def slide_four_term_relations(n: int):
-    """Four-term vectors by literal slides, as terms dicts keyed by sorted
-    pair tuples.
+def literal_slides(n: int):
+    """Every (skeleton, four-term vector) pair by literal slides, the vector
+    a terms dict keyed by sorted pair tuples, cancelled terms dropped, so
+    possibly empty.
 
     Skeleton, distinguished chord and slot order as in
     ``chords.four_term_relations``.  Each slide is canonicalised to a sorted
-    tuple of sorted pairs and must be a perfect matching of 1..2n; vectors
-    are deduplicated on their sorted terms.
+    tuple of sorted pairs and must be a perfect matching of 1..2n.
     """
     npts = 2 * n - 1
-    seen = set()
-    out = []
     for anchor in range(1, npts + 1):
         others = tuple(p for p in range(1, npts + 1) if p != anchor)
         for skeleton in _matchings(others):
@@ -190,21 +188,54 @@ def slide_four_term_relations(n: int):
                     if sorted(x for p in d for x in p) != list(range(1, 2 * n + 1)):
                         raise ValueError(f"slide {d} is not a perfect matching of 1..{2 * n}")
                     acc[d] = acc.get(d, 0) + sign
-                acc = {d: c for d, c in acc.items() if c}
-                key = tuple(sorted(acc.items()))
-                if acc and key not in seen:
-                    seen.add(key)
-                    out.append(acc)
+                yield skeleton, {d: c for d, c in acc.items() if c}
+
+
+def slide_four_term_relations(n: int):
+    """The nonzero vectors of ``literal_slides(n)`` in their order,
+    deduplicated on their sorted terms."""
+    seen = set()
+    out = []
+    for _, acc in literal_slides(n):
+        key = tuple(sorted(acc.items()))
+        if acc and key not in seen:
+            seen.add(key)
+            out.append(acc)
     return out
+
+
+def isolated(diagram) -> bool:
+    """True when the diagram has a chord (a, a+1), which the one-term
+    relation kills."""
+    return any(b == a + 1 for (a, b) in diagram)
+
+
+def quotient_slide_rows(n: int):
+    """``slide_four_term_relations(n)`` over the one-term quotient: each
+    vector as its (column, coefficient) pairs, a column being a diagram's
+    rank among the diagrams with no isolated chord, and empty rows dropped."""
+    column = {d: j for j, d in enumerate(d for d in enumerate_diagrams(n) if not isolated(d))}
+    rows = ([(column[d], c) for d, c in terms.items() if d in column] for terms in slide_four_term_relations(n))
+    return [row for row in rows if row]
+
+
+def literal_relations(n: int):
+    """The one- and four-term relations over every diagram, as dicts
+    {diagram index: coefficient}: one row for each diagram with an isolated
+    chord, then the literal four-term vectors."""
+    diagrams = enumerate_diagrams(n)
+    index = {d: i for i, d in enumerate(diagrams)}
+    rels = [{i: 1} for i, d in enumerate(diagrams) if isolated(d)]
+    rels += [{index[d]: c for d, c in terms.items()} for terms in slide_four_term_relations(n)]
+    return rels
 
 
 def unquotiented_relation_matrix(n: int, field: Field, rels=None) -> SparseMatrix:
     """Relations, each a dict {diagram index: coefficient}, stacked as rows
-    over all (2n-1)!! diagrams; by default the one- and four-term relations,
-    the relation matrix before the one-term quotient."""
+    over all (2n-1)!! diagrams; by default ``literal_relations(n)``, the
+    relation matrix before the one-term quotient."""
     if rels is None:
-        rels = [{i: 1} for i in one_term_relations(n)]
-        rels += [v.terms for v in four_term_relations(n)]
+        rels = literal_relations(n)
     entries = {(r, i): c for r, terms in enumerate(rels) for i, c in terms.items()}
     return SparseMatrix(len(rels), len(enumerate_diagrams(n)), field, entries)
 

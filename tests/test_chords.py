@@ -1,6 +1,15 @@
 import pytest
 
-from oracles import dense_rows, naive_rank, slide_four_term_relations, unquotiented_relation_matrix
+from oracles import (
+    dense_rows,
+    isolated,
+    literal_relations,
+    literal_slides,
+    naive_rank,
+    quotient_slide_rows,
+    slide_four_term_relations,
+    unquotiented_relation_matrix,
+)
 from spectral_knots import CapacityError, chords
 from spectral_knots.chords import (
     RelationVector,
@@ -62,33 +71,58 @@ def test_one_term_two_chords():
     assert killed == [((1, 2), (3, 4)), ((1, 4), (2, 3))]
 
 
+def test_one_term_is_the_isolated_chord_test():
+    for n in range(0, 7):
+        assert one_term_relations(n) == [i for i, d in enumerate(enumerate_diagrams(n)) if isolated(d)]
+
+
 def test_four_term_vector_shape():
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
+        cols = relation_matrix(n, Q).cols
         for rel in four_term_relations(n):
             assert type(rel) is RelationVector
             assert 1 <= len(rel.terms) <= 4
-            assert sum(rel.terms.values()) == 0
+            assert set(rel.terms) <= set(range(cols))
             assert set(rel.terms.values()) <= {-1, 1}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
 def test_four_term_matches_literal_slides(n):
-    # same vectors, same order, same term order as the literal slides
-    diagrams = enumerate_diagrams(n)
-    got = [[(diagrams[i], c) for i, c in v.terms.items()] for v in four_term_relations(n)]
-    want = [list(terms.items()) for terms in slide_four_term_relations(n)]
-    assert got == want
-    # every (anchor, skeleton, chord) gives a vector but those with the
-    # anchor alone between the chord's ends, (2n-3) (2n-5)!! of them
+    # the literal vectors over the quotient, renumbered by column, empty
+    # ones dropped: same rows, same order, same term order
+    got = [list(v.terms.items()) for v in four_term_relations(n)]
+    assert got == quotient_slide_rows(n)
+    # every (anchor, skeleton, chord) gives a literal vector but those with
+    # the anchor alone between the chord's ends, (2n-3) (2n-5)!! of them
     chords_placed = (2 * n - 1) * double_factorial(n - 1) * (n - 1)
-    assert len(got) + (2 * n - 3) * double_factorial(n - 2) == chords_placed
+    assert len(slide_four_term_relations(n)) + (2 * n - 3) * double_factorial(n - 2) == chords_placed
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_skeleton_with_an_isolated_chord_lies_on_the_one_term_relations(n):
+    # why four_term_relations walks no skeleton with a chord (a, a+1)
+    diagrams = enumerate_diagrams(n)
+    killed = {diagrams[i] for i in one_term_relations(n)}
+    pruned = 0
+    for skeleton, terms in literal_slides(n):
+        if isolated(skeleton):
+            pruned += 1
+            assert set(terms) <= killed, (skeleton, terms)
+    # n - 1 vectors from each skeleton that is not walked
+    walked = {2: 1, 3: 6, 4: 41, 5: 365}[n]
+    assert pruned == (n - 1) * ((2 * n - 1) * double_factorial(n - 1) - walked)
 
 
 def test_four_term_slide_outside_the_basis_raises(monkeypatch):
     basis = chords.enumerate_diagrams(3)
-    monkeypatch.setattr(chords, "enumerate_diagrams", lambda n: basis[1:])
-    with pytest.raises(ConsistencyError):
-        four_term_relations(3)
+    for dropped, chords_isolated in (
+        (4, 0),  # ((1, 3), (2, 5), (4, 6)), a column of the quotient
+        (1, 1),  # ((1, 2), (3, 5), (4, 6)), killed, reached at an anchor slot
+    ):
+        assert sum(b == a + 1 for (a, b) in basis[dropped]) == chords_isolated
+        monkeypatch.setattr(chords, "enumerate_diagrams", lambda n: basis[:dropped] + basis[dropped + 1:])
+        with pytest.raises(ConsistencyError, match="is not a diagram with 3 chords"):
+            four_term_relations(3)
 
 
 def test_four_term_below_two_chords_is_empty():
@@ -99,16 +133,20 @@ def test_four_term_below_two_chords_is_empty():
 def test_four_term_three_chords_ambient_space():
     rels = four_term_relations(3)
     assert len(enumerate_diagrams(3)) == 15
-    for rel in rels:
-        assert set(rel.terms) <= set(range(15))
+    # keyed by column: the 5 diagrams with no isolated chord, all reached
+    assert set().union(*(rel.terms for rel in rels)) == set(range(5))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
 def test_four_term_deduplicated(n):
-    # four_term_relations keeps no dedupe set: no vector repeats anyway
+    # four_term_relations keeps no dedupe set: no literal vector repeats,
+    # and the few rows that repeat once restricted to the quotient could
+    # not change a rank
+    literal = [tuple(sorted(terms.items())) for _, terms in literal_slides(n) if terms]
+    assert len(literal) == len(set(literal))
     rels = four_term_relations(n)
     keys = [tuple(sorted(r.terms.items())) for r in rels]
-    assert len(keys) == len(set(keys))
+    assert (len(keys), len(set(keys))) == {2: (0, 0), 3: (11, 9), 4: (117, 115), 5: (1419, 1407), 6: (19555, 19473)}[n]
 
 
 def test_relation_vector_keeps_its_dict():
@@ -151,9 +189,10 @@ def test_relation_matrix_columns_are_the_one_term_quotient(n, field):
 
 
 def test_relation_matrix_drops_rows_left_empty():
-    # 16 of the 27 four-term vectors lie on diagrams the one-term relations
-    # kill, so restricted to the quotient's 5 columns they are empty
-    assert len(four_term_relations(3)) == 27
+    # 16 of the 27 literal four-term vectors lie on diagrams the one-term
+    # relations kill, so restricted to the quotient's 5 columns they are empty
+    assert len(slide_four_term_relations(3)) == 27
+    assert len(four_term_relations(3)) == 11
     m = relation_matrix(3, Q)
     assert (m.rows, m.cols) == (11, 5)
     assert {r for (r, _) in m.entries} == set(range(11))
@@ -174,9 +213,16 @@ def test_dim_A_rejects_nonpositive():
 
 
 def test_four_term_kills_constants():
-    # any function constant on diagrams pairs to zero with each vector
-    for rel in four_term_relations(3):
-        assert sum(rel.terms.values()) == 0
+    # any function constant on diagrams pairs to zero with each vector, so a
+    # row sums to minus the terms the one-term relations killed
+    rows = iter(four_term_relations(3))
+    killed = {enumerate_diagrams(3)[i] for i in one_term_relations(3)}
+    for terms in slide_four_term_relations(3):
+        assert sum(terms.values()) == 0
+        kept = {d: c for d, c in terms.items() if d not in killed}
+        if kept:
+            assert sum(next(rows).terms.values()) == sum(kept.values())
+    assert next(rows, None) is None
 
 
 def test_dedup_invariance():
@@ -193,8 +239,7 @@ def test_reflection_invariance():
         index = {d: i for i, d in enumerate(diagrams)}
         m = 2 * n + 1
         mirror = [index[tuple(sorted((m - b, m - a) for (a, b) in d))] for d in diagrams]
-        rels = [{i: 1} for i in one_term_relations(n)] + [v.terms for v in four_term_relations(n)]
-        reflected = [{mirror[i]: c for i, c in terms.items()} for terms in rels]
+        reflected = [{mirror[i]: c for i, c in terms.items()} for terms in literal_relations(n)]
         mat = unquotiented_relation_matrix(n, Q, reflected)
         assert base.cols - base.rank() == mat.cols - mat.rank()
 
@@ -220,13 +265,12 @@ def split(diagram):
 
 
 def primitive_dim(n):
-    """p_n over Q: the kept diagrams that are not split, less the rank of
-    the four-term rows restricted to them."""
-    killed = set(one_term_relations(n))
-    kept = [i for i, d in enumerate(enumerate_diagrams(n)) if i not in killed and not split(d)]
-    column = {i: j for j, i in enumerate(kept)}
-    vectors = four_term_relations(n)
-    entries = {(r, column[i]): c for r, v in enumerate(vectors) for i, c in v.terms.items() if i in column}
+    """p_n over Q: the diagrams with no isolated chord that are not split,
+    less the rank of the literal four-term vectors restricted to them."""
+    kept = [d for d in enumerate_diagrams(n) if not isolated(d) and not split(d)]
+    column = {d: j for j, d in enumerate(kept)}
+    vectors = slide_four_term_relations(n)
+    entries = {(r, column[d]): c for r, terms in enumerate(vectors) for d, c in terms.items() if d in column}
     return len(kept) - SparseMatrix(len(vectors), len(kept), Q, entries).rank()
 
 
