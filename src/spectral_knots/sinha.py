@@ -9,8 +9,10 @@ shift relabels it as the first page of the discriminant-side sequence.
 
 A monomial is its sorted factor tuple from the basis to the matrix; a
 face map (``_face_monomial``) sends one to the rewrite memo's tuple of
-(factor tuple, int coefficient) pairs.  Face map conventions (validated by
-d1*d1 = 0 and by the chord-diagram cross-check, see tests):
+(factor tuple, int coefficient) pairs.  The diagonal entry takes neither:
+its sources are perfect matchings, whose inner faces ``_face_columns``
+writes down in closed form on flat byte words.  Face map conventions
+(validated by d1*d1 = 0 and by the chord-diagram cross-check, see tests):
 
 * inner face i (1 <= i <= l-1): relabel strands along the surjection
   {1..l} -> {1..l-1} shrinking {i, i+1}; a factor g(i, i+1) becomes the
@@ -240,9 +242,11 @@ def e2_diagonal(n_diag: int, f: Field) -> int:
     per face term they hit, numbered in ``basis_order``, and one column per
     kept source.  The entry is cols - rank.  The kept sources are
     enumerated directly, so neither the diagonal column (2n, n) nor the
-    target column (2n-1, n) is enumerated.  A kept source's face term with
-    a tangent class would break the argument and raises
-    ``ConsistencyError``.
+    target column (2n-1, n) is enumerated, and their faces are walked as
+    byte words, off the face map and the rewrite memo.  A source with a
+    factor (i, i+1) among the kept ones would break the argument and raises
+    ``ConsistencyError``.  The capacity check refuses n_diag >= 8, so every
+    strand label fits in one byte of those words.
     """
     if n_diag < 1:
         raise ValueError("n_diag must be >= 1")
@@ -282,22 +286,58 @@ def _kept_face_matrix(l: int, f: Field) -> SparseMatrix:
     """d1 on the perfect matchings of l strands with no factor (i, i+1), in
     d1's orientation: one column per such source, enumerated by
     ``_kept_matchings`` and never through ``normalized_basis``, and one row
-    per face term they hit.  The terms have no tangent class (one that has
-    raises ``ConsistencyError``), so they are numbered in ``basis_order`` by
-    a sort without a key.  Each term is held once, numbered as first hit
-    and then renumbered, and none is held once the matrix is built."""
+    per face term they hit.  The columns are ``_face_columns``, keyed by
+    flat words of one length, whose byte order is ``basis_order`` on
+    monomials with no tangent class; so the rows are numbered by a sort
+    without a key.  Each term is held once, numbered as first hit and then
+    renumbered, and none is held once the matrix is built."""
     first = {}
-    cols = [
-        {first.setdefault(m, len(first)): v for m, v in _face_sum(l, src).items()}
-        for src in _kept_matchings(l)
-    ]
+    cols = [{first.setdefault(w, len(first)): v for w, v in col.items()}
+            for col in _face_columns(l, _kept_matchings(l))]
     number = [0] * len(first)
-    for r, m in enumerate(sorted(first)):
-        if any(a == b for (a, b) in m):
-            raise ConsistencyError(f"face term {m!r} of a source with no factor (i, i+1) has a tangent class")
-        number[first[m]] = r
+    for r, w in enumerate(sorted(first)):
+        number[first[w]] = r
     entries = {(number[j], c): v for c, col in enumerate(cols) for j, v in col.items()}
     return SparseMatrix(len(number), len(cols), f, entries)
+
+
+def _face_columns(l: int, sources):
+    """Alternating inner face sums of perfect matchings of l strands with no
+    factor (i, i+1), one {flat word: nonzero int} per source in turn.
+
+    A flat word lists a sorted factor tuple's strands, one byte each.  With
+    p and q the partners of strands i and i+1, inner face i maps each byte
+    v to v - (v > i); if p > q > i the two pairs now opening at i swap.  If
+    p, q < i (a = min, b = max), the one Arnold step gives +(a's pair
+    becomes (a, b)) - (a's pair becomes (a, b), (a, i); b's pair goes),
+    both basic.  A factor (i, i+1) raises ``ConsistencyError``: face i
+    would be a tangent class.
+    """
+    shrink = [bytes(range(i + 1)) + bytes(range(i, 255)) for i in range(l)]
+    partner, slot = [0] * (l + 1), [0] * (l + 1)  # slot: position of an opener's pair
+    for src in sources:
+        flat = bytes(itertools.chain(*src))
+        for s, (a, b) in enumerate(src):
+            partner[a], partner[b], slot[a] = b, a, 2 * s
+        acc = {}
+        for i in range(1, l):
+            p, q = partner[i], partner[i + 1]
+            sign = -1 if i % 2 else 1
+            w = flat.translate(shrink[i])
+            if p < i and q < i:
+                a, b = (p, q) if p < q else (q, p)
+                sa, sb = slot[a], slot[b]
+                plus = w[:sa + 1] + bytes((b,)) + w[sa + 2:]
+                w = w[:sa] + bytes((a, b)) + w[sa:sb] + w[sb + 2:]
+                acc[plus] = acc.get(plus, 0) + sign
+                sign = -sign
+            elif p > q > i:
+                s = slot[i]
+                w = w[:s] + w[s + 2:s + 4] + w[s:s + 2] + w[s + 4:]
+            elif q == i:
+                raise ConsistencyError(f"source {src!r} has the factor ({i}, {i + 1}): face {i} is a tangent class")
+            acc[w] = acc.get(w, 0) + sign
+        yield {w: c for w, c in acc.items() if c}
 
 
 def vassiliev_e1_view(page: dict) -> dict:

@@ -130,9 +130,10 @@ def test_degree_seven_over_f2_is_bar_natans_fourteen_in_bounded_memory(tmp_path)
 def test_degree_seven_sinha_diagonal_over_f2_is_fourteen_in_bounded_memory(tmp_path):
     # e2_diagonal(7) = 14 = dim_A(7) (Bar-Natan, as above), ranked over the
     # 47844 of 135135 matchings with no factor (i, i+1), enumerated alone;
-    # neither the (14, 7) nor the (13, 7) column is (peak about 530 MB)
+    # neither the (14, 7) nor the (13, 7) column is, and the faces are walked
+    # as byte words, off the rewrite memo (peak about 336 MB)
     out, peak_kib = _run_for_peak(
         "from spectral_knots.sinha import e2_diagonal\nfrom spectral_knots.linalg import Field\n"
         "print(e2_diagonal(7, Field(2)))\n", tmp_path)
     assert int(out) == 14
-    assert peak_kib < 655 * 1024
+    assert peak_kib < 450 * 1024

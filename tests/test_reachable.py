@@ -26,6 +26,7 @@ COMMANDS = [
     (0, ["--command", command, *sizes, "--field", field, "--format", fmt])
     for command, sizes in (
         ("e2", ["--n", "3", "--k-max", "2"]),
+        ("e2", ["--n", "4", "--k-max", "2"]),  # the first e2 whose faces enter the rewrite
         ("chord", ["--n", "3"]),
         ("crosscheck", ["--n", "2"]),
         ("kancheck", ["--n", "2", "--k-max", "2"]),

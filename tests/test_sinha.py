@@ -1,8 +1,11 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import degeneracy_quotient_dim, face_sum_d1, inclusion_exclusion_dim
 from spectral_knots.conf_algebra import _reduce_cached, basis_monomials
@@ -312,17 +315,38 @@ def test_e2_diagonal_never_enumerates_the_target_column(monkeypatch):
 
 
 def test_e2_diagonal_raises_on_a_tangent_term_of_a_kept_source(monkeypatch):
-    # g(1,3) g(2,4) is the one kept source at n = 2; no face of it may make
-    # a tangent class, since the private rows of the others rest on that
-    face = sinha._face_monomial
+    # g(1,3) g(2,4) is the one kept source at n = 2; a source with a factor
+    # (i, i+1) has a tangent class in face i, and the private rows of the
+    # dropped sources rest on no kept source having one
+    for source in (((1, 2), (3, 4)), ((1, 4), (2, 3))):
+        monkeypatch.setattr(sinha, "_kept_matchings", lambda l: [((1, 3), (2, 4)), source])
+        with pytest.raises(ConsistencyError, match=re.escape(repr(source))):
+            e2_diagonal(2, Q)
 
-    def leaky(i, l, factors):
-        img = face(i, l, factors)
-        return img + ((((1, 1), (1, 2)), 1),) if i == 1 else img
 
-    monkeypatch.setattr(sinha, "_face_monomial", leaky)
-    with pytest.raises(ConsistencyError, match=r"\(\(1, 1\), \(1, 2\)\)"):
-        e2_diagonal(2, Q)
+def kept_matchings(l):
+    """Perfect matchings of strands 1..l with no factor (i, i+1), as sorted
+    factor tuples, paired off from a random permutation."""
+    def pair(perm):
+        return tuple(sorted(tuple(sorted(perm[j:j + 2])) for j in range(0, l, 2)))
+
+    return st.permutations(range(1, l + 1)).map(pair).filter(lambda m: not adjacent(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([14, 16]).flatmap(kept_matchings))
+def test_face_walk_is_the_generic_face_sum_past_n_six(src):
+    # the byte-word walk against the face map and the rewrite memo, over Z
+    l = 2 * len(src)
+    (col,) = sinha._face_columns(l, [src])
+    assert {tuple(zip(w[::2], w[1::2])): c for w, c in col.items()} == sinha._face_sum(l, src)
+
+
+@pytest.mark.parametrize("field", [Q, F2])
+def test_e2_diagonal_leaves_the_rewrite_memo_alone(field):
+    before = _reduce_cached.cache_info()
+    assert [e2_diagonal(n, field) for n in range(1, 6)] == [0, 1, 1, 3, 4]
+    assert _reduce_cached.cache_info() == before
 
 
 def test_e2_diagonal_rejects_a_nonempty_column_above_the_diagonal(monkeypatch):
