@@ -27,7 +27,6 @@ from .sinha import (
     vassiliev_e1_view,
 )
 from .chords import (
-    RelationVector,
     dim_A,
     enumerate_diagrams,
     four_term_relations,
@@ -41,7 +40,6 @@ __all__ = [
     "ComplexError",
     "ConsistencyError",
     "Field",
-    "RelationVector",
     "ResultCache",
     "ResultRecord",
     "ShapeError",

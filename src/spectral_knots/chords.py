@@ -43,24 +43,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import namedtuple
 
 from .linalg import CAPACITY_LIMIT, CapacityError, ConsistencyError, Field, SparseMatrix
 
 
-class RelationVector:
-    """Signed combination of diagrams: ``terms`` maps a diagram's column,
-    its rank among the diagrams the one-term relations keep, to its
-    coefficient, so a relation vector is one row of the relation matrix.
-    The dict is kept as given, not copied."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        self.terms = terms
-
-    def __repr__(self):
-        body = " ".join(f"{c:+d}*[{i}]" for i, c in sorted(self.terms.items()))
-        return f"<RelationVector {body}>"
+# one row of the relation matrix: ``terms`` maps a kept diagram's column to its coefficient
+RelationVector = namedtuple("RelationVector", "terms")
 
 
 def _matchings(points):
@@ -105,8 +94,9 @@ def _word(diagram) -> bytes:
 def four_term_relations(n: int):
     """The four-term vectors as rows over the one-term quotient.
 
-    A row is a ``RelationVector`` keyed by column: a diagram's rank among
-    the diagrams not in ``one_term_relations(n)``, in enumeration order.
+    A row is a ``RelationVector`` record whose ``terms`` dict, kept as
+    built, maps a column to its coefficient: a column is a diagram's rank
+    among the diagrams not in ``one_term_relations(n)``, in enumeration order.
     Terms on killed diagrams are dropped, and so is a vector left empty.
     The matchings of 2n-2 points are enumerated once and placed around each
     anchor as skeletons; a skeleton with a chord (a, a+1) is skipped, since

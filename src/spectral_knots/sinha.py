@@ -19,7 +19,8 @@ writes down in closed form on flat byte words.  Face map conventions
   tangent class g(i, i).
 * outer faces i = 0 and i = l: the boundary strand is deleted; any factor
   touching it pulls back to zero.  On normalized columns the outer faces
-  therefore vanish identically (checked during matrix assembly).
+  therefore vanish identically (checked by strand occurrence: each source
+  of d1 must touch strands 1 and l).
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ def _face_monomial(i: int, l: int, factors: tuple) -> tuple:
 
     The input must be basic: each strand then has at most one smaller
     neighbour, so one scan over the factors classifies an inner face, and
-    only a non-basic image enters the rewrite memo.
+    only a non-basic image enters the rewrite memo.  The outer faces i = 0
+    and i = l serve the expanded complex of ``kan_unit_check``; on a
+    normalized column they vanish, and ``_face_sum`` never takes them.
     """
     if 1 <= i <= l - 1:
         # smaller neighbours (0: none) and tangent classes of strands i and i+1
@@ -139,17 +142,16 @@ def normalized_basis(l: int, k: int) -> tuple:
 
 def _face_sum(l: int, mono: tuple) -> dict:
     """Alternating sum of the inner faces of a normalized monomial on l
-    strands, as {factor tuple: nonzero int}; a nonzero outer face raises
+    strands, as {factor tuple: nonzero int}.  The outer faces vanish when
+    strands 1 and l occur; a monomial missing either raises
     ``ConsistencyError``."""
+    # the factors are sorted, so strand 1 occurs iff the first factor starts at 1
+    if not any(b == l for _, b in mono) or mono[0][0] != 1:
+        raise ConsistencyError(f"normalized monomial {mono!r} misses strand 1 or {l}: an outer face is nonzero")
     acc = {}
-    for i in range(0, l + 1):
-        img = _face_monomial(i, l, mono)
-        if i in (0, l):
-            if img:
-                raise ConsistencyError(f"outer face {i} nonzero on normalized monomial {mono!r}")
-            continue
+    for i in range(1, l):
         sign = -1 if i % 2 else 1
-        for m, ic in img:
+        for m, ic in _face_monomial(i, l, mono):
             acc[m] = acc.get(m, 0) + sign * ic
     return {m: c for m, c in acc.items() if c}
 
@@ -245,16 +247,19 @@ def e2_diagonal(n_diag: int, f: Field) -> int:
     target column (2n-1, n) is enumerated, and their faces are walked as
     byte words, off the face map and the rewrite memo.  A source with a
     factor (i, i+1) among the kept ones would break the argument and raises
-    ``ConsistencyError``.  The capacity check refuses n_diag >= 8, so every
-    strand label fits in one byte of those words.
+    ``ConsistencyError``.  The capacity check refuses n_diag >= 8 at once,
+    so every strand label fits in one byte of those words.
     """
     if n_diag < 1:
         raise ValueError("n_diag must be >= 1")
     l, k = 2 * n_diag, n_diag
-    if normalized_dim_formula(l, k) > CAPACITY_LIMIT:
-        raise CapacityError(
-            f"diagonal column (l={l}, k={k}) exceeds capacity limit {CAPACITY_LIMIT}"
-        )
+    # the diagonal column holds the (2n-1)!! perfect matchings; counted degree
+    # by degree, a huge n_diag is refused at the first count over the limit
+    count = 1
+    for i in range(1, n_diag + 1):
+        count *= 2 * i - 1
+        if count > CAPACITY_LIMIT:
+            raise CapacityError(f"diagonal column (l={l}, k={k}) exceeds capacity limit {CAPACITY_LIMIT}")
     if normalized_basis(l + 1, k):
         raise ConsistencyError("normalized column above the diagonal must be empty")
     d = _kept_face_matrix(l, f)

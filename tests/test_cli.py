@@ -412,6 +412,26 @@ def test_cli_import_loads_no_unneeded_module():
     assert set(loaded) & set(UNNEEDED_AT_LAUNCH) == set()
 
 
+def run_module(cache_dir, *argv):
+    """``python -m spectral_knots`` on argv in a fresh interpreter, bytes out."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, SPECTRAL_KNOTS_CACHE=str(cache_dir))
+    return subprocess.run([sys.executable, "-m", "spectral_knots", *argv], env=env, capture_output=True, timeout=120)
+
+
+def test_module_entry_point_prints_the_bytes_main_prints(isolated_cache, capsys):
+    argv = ("--command", "crosscheck", "--n", "3", "--field", "fp:2")
+    code, out, _ = invoke(capsys, *argv)
+    # a cache of its own, so the module computes cold as main did
+    proc = run_module(isolated_cache / "module-cache", *argv)
+    assert (proc.returncode, proc.stdout) == (code, out.encode())
+
+
+def test_module_entry_point_exits_with_the_usage_status(isolated_cache):
+    proc = run_module(isolated_cache / "module-cache", "--command", "chord", "--n", "0")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_USAGE, b"", b"error: n must be >= 1\n")
+
+
 @pytest.mark.parametrize(
     "cfg",
     [

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -150,6 +151,16 @@ def test_d1_raises_on_a_face_term_outside_the_basis(monkeypatch):
 
     monkeypatch.setattr(sinha, "_face_monomial", leaky)
     with pytest.raises(ConsistencyError, match=r"\(\(1, 1\), \(1, 2\)\)"):
+        d1_matrix(4, 2, Q)
+
+
+@pytest.mark.parametrize("source", [((2, 2), (3, 4)), ((1, 3), (2, 2))], ids=["no-strand-1", "no-strand-l"])
+def test_d1_raises_on_a_source_missing_an_outer_strand(monkeypatch, source):
+    # a source missing strand 1 has a nonzero face 0, one missing strand l a
+    # nonzero face l: neither is a normalized monomial
+    real = sinha.normalized_basis
+    monkeypatch.setattr(sinha, "normalized_basis", lambda l, k: real(l, k) + (source,) if (l, k) == (4, 2) else real(l, k))
+    with pytest.raises(ConsistencyError, match=re.escape(f"normalized monomial {source!r} misses strand 1 or 4")):
         d1_matrix(4, 2, Q)
 
 
@@ -312,6 +323,31 @@ def test_e2_diagonal_never_enumerates_the_target_column(monkeypatch):
     monkeypatch.setattr(sinha, "normalized_basis", guarded)
     monkeypatch.setattr(sinha, "d1_matrix", None)
     assert e2_diagonal(4, F2) == 3
+
+
+def test_e2_diagonal_refuses_a_huge_degree_at_once():
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match=re.escape(f"diagonal column (l={2 * 10**9}, k={10**9}) exceeds")):
+        e2_diagonal(10**9, F2)
+    assert time.perf_counter() - start < 1
+
+
+def test_e2_diagonal_refuses_degree_eight_before_any_basis(monkeypatch):
+    # 13!! = 135135 matchings are admitted, 15!! = 2027025 are not
+    entered = []
+
+    def record(*args):
+        entered.append(args)
+        raise LookupError("entered")
+
+    monkeypatch.setattr(sinha, "_kept_face_matrix", record)
+    monkeypatch.setattr(sinha, "normalized_basis", record)
+    with pytest.raises(CapacityError, match=re.escape("diagonal column (l=16, k=8) exceeds")):
+        e2_diagonal(8, F2)
+    assert entered == []
+    with pytest.raises(LookupError):
+        e2_diagonal(7, F2)
+    assert entered == [(15, 7)]
 
 
 def test_e2_diagonal_raises_on_a_tangent_term_of_a_kept_source(monkeypatch):
