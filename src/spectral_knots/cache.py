@@ -9,7 +9,6 @@ wrong data.  An unwritable cache directory costs a warning, not the run.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -17,13 +16,18 @@ import tempfile
 from collections import namedtuple
 from functools import lru_cache
 
+try:  # the built-in module: hashlib would load OpenSSL's libcrypto into every launch
+    from _sha256 import sha256
+except ImportError:  # renamed _sha2 in Python 3.12; the digest is the same
+    from hashlib import sha256
+
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 
 
 def fingerprint(config: dict) -> str:
     """Stable hash of a run configuration (the CLI's includes ``source_digest()``)."""
     blob = json.dumps(config, sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8")).hexdigest()
 
 
 @lru_cache(maxsize=None)
@@ -33,7 +37,7 @@ def source_digest(package_dir: str = _PACKAGE_DIR) -> str:
     never served to code other than the code that computed it.  Computed on
     first use, not at import.
     """
-    h = hashlib.sha256()
+    h = sha256()
     for name in sorted(os.listdir(package_dir)):
         if name.endswith(".py"):
             with open(os.path.join(package_dir, name), "rb") as f:

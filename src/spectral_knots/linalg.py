@@ -18,8 +18,9 @@ on the sparsest active row of each column, ties broken by lowest row index;
 fill-in lands only right of the pivot column, so the pivot search never
 rescans.  Over Q the rows are cleared of denominators and kept primitive:
 each updated row is divided by the gcd of its entries, which bounds
-coefficient swell by the minors of the integer matrix.  Over F_p each pivot
-row is scaled to a leading 1 and rows hold residues.
+coefficient swell by the minors of the integer matrix, and a pivot row
+leading with -1 is negated, so the rows it updates are not rescaled.  Over
+F_p each pivot row is scaled to a leading 1 and rows hold residues.
 """
 
 from __future__ import annotations
@@ -164,14 +165,22 @@ class SparseMatrix:
             raise ShapeError(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
-        by_row = {}
-        for (k, c), v in other.entries.items():
-            by_row.setdefault(k, []).append((c, v))
-        acc = {}
+        self_cols = {}
         for (r, k), a in self.entries.items():
-            for c, b in by_row.get(k, ()):
-                acc[r, c] = acc.get((r, c), 0) + a * b
-        return SparseMatrix(self.rows, other.cols, self.field, acc)
+            self_cols.setdefault(k, []).append((r, a))
+        other_cols = {}
+        for (k, c), b in other.entries.items():
+            other_cols.setdefault(c, []).append((k, b))
+        out = {}
+        for c, col in other_cols.items():  # one output column at a time, keyed by row
+            acc = {}
+            for k, b in col:
+                for r, a in self_cols.get(k, ()):
+                    acc[r] = acc.get(r, 0) + a * b
+            for r, v in acc.items():
+                if v:  # a sum that cancels never reaches the constructor
+                    out[r, c] = v
+        return SparseMatrix(self.rows, other.cols, self.field, out)
 
     def __eq__(self, other):
         return (
@@ -197,9 +206,10 @@ def _pivot(rows, col_rows, i, x, p, queue=None) -> None:
     """Eliminate column ``x`` from every other row with row ``i``, then drop both.
 
     Each updated row becomes ``a * row - g * (row i)``, where over F_p row i
-    is first scaled so that a = 1; over Q it is then divided by its content:
-    it is proportional to bordered minors of the input, so its primitive part
-    stays bounded.  Updated rows of weight <= 2 are appended to ``queue``.
+    is first scaled so that a = 1.  Over Q a row i that leads with -1 is
+    negated once, so that a = 1 there too and no updated row flips sign;
+    each updated row is then divided by its content: it is proportional to
+    bordered minors of the input, so its primitive part stays bounded.  Updated rows of weight <= 2 are appended to ``queue``.
     """
     prow = rows.pop(i)
     for c in prow:
@@ -208,6 +218,9 @@ def _pivot(rows, col_rows, i, x, p, queue=None) -> None:
     if p is not None and a != 1:
         inv = pow(a, -1, p)
         prow = {c: v * inv % p for c, v in prow.items()}
+        a = 1
+    elif a == -1:
+        prow = {c: -v for c, v in prow.items()}
         a = 1
     for j in col_rows.pop(x):
         row = rows[j]

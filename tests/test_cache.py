@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -61,6 +62,14 @@ def test_fingerprint_sensitivity():
     b = fingerprint({"command": "e2", "n": 3})
     c = fingerprint({"command": "chord", "n": 2})
     assert len({a, b, c}) == 3
+
+
+@pytest.mark.parametrize(
+    "key",
+    [{}, {"command": "e2", "n": 2}, {"n": 3, "command": "chord", "field_spec": "fp:2", "source": "é" * 3}],
+)
+def test_fingerprint_is_the_sha256_of_the_sorted_json(key):
+    assert fingerprint(key) == hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
 
 
 def test_mutated_fingerprint_misses(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -410,6 +411,47 @@ def test_cli_import_loads_no_unneeded_module():
     ).stdout.split()
     assert "spectral_knots.cli" in loaded
     assert set(loaded) & set(UNNEEDED_AT_LAUNCH) == set()
+
+
+def run_python(code, **env):
+    """Run ``code`` in a fresh interpreter on this package; its stdout lines."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, **env)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True, timeout=120
+    )
+    return proc.stdout.splitlines()
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_sha256") is None, reason="no built-in _sha256 (Python 3.12+)")
+def test_a_launch_loads_no_openssl(isolated_cache):
+    # hashlib's OpenSSL backend costs about 3.5 MB of peak RSS per launch; a
+    # site that preloads it is not the launch's doing, hence the set difference
+    code = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "from spectral_knots import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['--command', 'e2', '--n', '3', '--k-max', '2'])\n"
+        "print(code, sorted({'_hashlib', 'hashlib'} & (set(sys.modules) - before)))\n"
+    )
+    assert run_python(code, SPECTRAL_KNOTS_CACHE=str(isolated_cache / "launch-cache")) == [f"{EXIT_OK} []"]
+
+
+def test_fingerprints_do_not_depend_on_the_sha256_module():
+    # where the built-in _sha256 is missing (Python 3.12 names it _sha2), cache
+    # falls back to hashlib and must name every cache file as before
+    code = (
+        "import sys\n"
+        "sys.modules['_sha256'] = None\n"
+        "from spectral_knots.cache import source_digest\n"
+        "from spectral_knots.cli import RunConfig\n"
+        "print('hashlib' in sys.modules)\n"
+        "print(source_digest())\n"
+        "print(RunConfig(command='e2', n=3, k_max=2, field_spec='q').fingerprint())\n"
+    )
+    default = RunConfig(command="e2", n=3, k_max=2, field_spec="q").fingerprint()
+    assert run_python(code) == ["True", source_digest(), default]
 
 
 def run_module(cache_dir, *argv):

@@ -428,6 +428,14 @@ def test_presolve_divides_updated_rows_by_their_content():
     assert presolve([[1, 1, 0, 0], [1, 3, 2, 2]]) == (1, {1: {1: 1, 2: 1, 3: 1}})
 
 
+def test_presolve_negates_a_pivot_row_leading_with_minus_one_over_q():
+    # -x + y pivots on x (the tie goes to the lower column) and clears it from
+    # 2x + 3y + 5z + 7w as 5y + 5z + 7w, not as its negative
+    dense = [[-1, 1, 0, 0], [2, 3, 5, 7]]
+    assert presolve(dense) == (1, {1: {1: 5, 2: 5, 3: 7}})
+    assert mat(dense).rank() == 2 == naive_rank(dense)
+
+
 @settings(max_examples=150)
 @given(sparse_matrix)
 def test_presolve_leaves_changed_rows_primitive(dense):
