@@ -21,6 +21,12 @@ each updated row is divided by the gcd of its entries, which bounds
 coefficient swell by the minors of the integer matrix, and a pivot row
 leading with -1 is negated, so the rows it updates are not rescaled.  Over
 F_p each pivot row is scaled to a leading 1 and rows hold residues.
+
+Both rank routines can report the rows they pivot on.  ``homology_dim``
+uses them for clearing: the columns of d_i that are pivot rows of d_{i+1}
+carry no rank of d_i and are skipped (the lemma is in its docstring).  The
+lemma holds only on a complex, so every composite d_i * d_{i+1} is checked
+to vanish before the first rank.
 """
 
 from __future__ import annotations
@@ -193,13 +199,23 @@ class SparseMatrix:
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero, {self.field.spec()})"
 
-    def rank(self) -> int:
+    def rank(self, skip=(), pivots=None) -> int:
+        """Rank of the columns outside ``skip``.
+
+        ``pivots``, when given, is a set that receives as many rows as the
+        rank, on which those columns have full rank: the rows ``_pivot``
+        pops, or over F_2 the lines entering the XOR basis (their
+        leading-bit coordinates when the lines are columns).
+        """
+        entries = self.entries
+        if skip:
+            entries = {rc: v for rc, v in entries.items() if rc[1] not in skip}
         if self.field.p == 2:
-            return _rank_f2(self.entries, self.rows < self.cols)
+            return _rank_f2(entries, self.rows < self.cols, pivots)
         rows = {}
-        for (r, c), v in self.entries.items():
+        for (r, c), v in entries.items():
             rows.setdefault(r, {})[c] = v
-        return _eliminate(rows, self.field.p)
+        return _eliminate(rows, self.field.p, pivots)
 
 
 def _pivot(rows, col_rows, i, x, p, queue=None) -> None:
@@ -252,8 +268,9 @@ def _pivot(rows, col_rows, i, x, p, queue=None) -> None:
                     row[c] //= content
 
 
-def _presolve(rows, col_rows, p) -> int:
-    """Structured elimination of weight-1 and weight-2 rows; returns their rank.
+def _presolve(rows, col_rows, p, pivots=None) -> int:
+    """Structured elimination of weight-1 and weight-2 rows; returns their
+    rank and adds the rows it pivots on to ``pivots`` when given.
 
     Each such row pivots on its column with fewer rows to update: a weight-1
     row deletes its column, a weight-2 row merges its pivot column into its
@@ -269,12 +286,15 @@ def _presolve(rows, col_rows, p) -> int:
             continue
         _pivot(rows, col_rows, i, min(row, key=lambda c: len(col_rows[c])), p, queue)
         rank += 1
+        if pivots is not None:
+            pivots.add(i)
     return rank
 
 
-def _eliminate(rows, p) -> int:
+def _eliminate(rows, p, pivots=None) -> int:
     """Rank of ``rows`` ({index: {col: nonzero value}}) over Q (p is None)
-    or F_p; the row dicts are consumed.
+    or F_p; the row dicts are consumed, and the indices of the rows pivoted
+    on are added to ``pivots`` when given.
 
     After the presolve, the sweep visits the columns in increasing order and
     pivots on the sparsest active row of each.  Columns left of the current
@@ -290,16 +310,19 @@ def _eliminate(rows, p) -> int:
     for i, row in rows.items():
         for c in row:
             col_rows.setdefault(c, set()).add(i)
-    rank = _presolve(rows, col_rows, p)
+    rank = _presolve(rows, col_rows, p, pivots)
     for pc in sorted(col_rows):
         cand = col_rows[pc]
         if cand:
-            _pivot(rows, col_rows, min(cand, key=lambda i: (len(rows[i]), i)), pc, p)
+            i = min(cand, key=lambda i: (len(rows[i]), i))
+            _pivot(rows, col_rows, i, pc, p)
             rank += 1
+            if pivots is not None:
+                pivots.add(i)
     return rank
 
 
-def _rank_f2(entries, transpose) -> int:
+def _rank_f2(entries, transpose, pivots=None) -> int:
     """Rank over F_2 of the matrix whose nonzero entries sit at the keys of
     ``entries``; the values are not read.
 
@@ -310,7 +333,8 @@ def _rank_f2(entries, transpose) -> int:
     the highest bit, then reduced against a basis of packed lines keyed by
     leading bit: each step is one XOR.  The basis holds at most
     min(rows, cols) ints of as many bits, at most min(rows, cols)**2 / 8
-    bytes.
+    bytes.  ``pivots``, when given, receives the row indices of the basis:
+    the lines that enter it, or, for column lines, their leading bits.
     """
     lines = {}
     for r, c in entries:
@@ -319,15 +343,21 @@ def _rank_f2(entries, transpose) -> int:
         lines.setdefault(r, []).append(c)
     top = max(map(max, lines.values()), default=0)
     basis = {}
+    entering = pivots is not None and not transpose
     for k in sorted(lines):
         x = 0
         for i in lines[k]:
             x |= 1 << (top - i)
+        size = len(basis)
         while x:
             y = basis.setdefault(x.bit_length(), x)
-            if y is x:
+            if y is x:  # entered, or a cached small int equal to y: then x ^ y = 0
                 break
             x ^= y
+        if entering and len(basis) > size:
+            pivots.add(k)
+    if pivots is not None and transpose:
+        pivots.update(top + 1 - b for b in basis)
     return len(basis)
 
 
@@ -336,8 +366,14 @@ def homology_dim(differentials) -> list:
 
     ``differentials`` is [d_1, ..., d_m] with d_i : C_i -> C_{i-1}, so d_i
     is a dim C_{i-1} x dim C_i matrix.  Every consecutive composite
-    d_i * d_{i+1} must vanish; each d_i is ranked once, and the two end
-    maps have rank 0.
+    d_i * d_{i+1} must vanish, and it is checked first: the ranks below
+    rely on it.  Each d_i is then ranked once, from d_m down, with clearing
+    (Chen & Kerber, EuroCG 2011; Bauer, Kerber & Reininghaus, 2014): d_i
+    skips the columns P that d_{i+1}'s rank returns as pivot rows.  Since
+    d_{i+1}[P, :] has full rank, im d_{i+1} projects isomorphically onto
+    the coordinates P, so C_i = im d_{i+1} + span{e_j : j not in P} is a
+    direct sum; d_i kills the first summand, and its rank is that of its
+    columns outside P, over every field.  The two end maps have rank 0.
     """
     ds = list(differentials)
     if not ds:
@@ -345,7 +381,11 @@ def homology_dim(differentials) -> list:
     for i in range(1, len(ds)):
         if not ds[i - 1].compose(ds[i]).is_zero():
             raise ComplexError(f"d_{i} * d_{i + 1} != 0")
-    ranks = [0] + [d.rank() for d in ds] + [0]
+    ranks = [0] * (len(ds) + 2)
+    pivots = set()
+    for i in range(len(ds), 0, -1):
+        cleared, pivots = pivots, set()
+        ranks[i] = ds[i - 1].rank(cleared, pivots)
     dims = [ds[0].rows] + [d.cols for d in ds]
     out = [dims[i] - ranks[i] - ranks[i + 1] for i in range(len(dims))]
     if min(out) < 0:

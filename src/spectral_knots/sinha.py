@@ -7,11 +7,15 @@ The column differential is the alternating sum of face maps.  Homology of
 the columns gives the second-page dimension table; the standard degree
 shift relabels it as the first page of the discriminant-side sequence.
 
-A monomial is its sorted factor tuple from the basis to the matrix; a
-face map (``_face_monomial``) sends one to the rewrite memo's tuple of
-(factor tuple, int coefficient) pairs.  The diagonal entry takes neither:
-its sources are perfect matchings, whose inner faces ``_face_columns``
-writes down in closed form on flat byte words.  Face map conventions
+A monomial is its sorted factor tuple in the basis; a face map
+(``_face_monomial``) sends one to the rewrite memo's tuple of (factor
+tuple, int coefficient) pairs.  ``d1_matrix`` walks the faces on strand
+words instead, one byte per strand (``_word``), and writes each face down
+in closed form, one Arnold step at most; only a face whose rewrite takes
+a chain of two or more steps goes through the face map and the memo
+(``_face_words``).  The diagonal entry takes neither: its sources are
+perfect matchings, whose inner faces ``_face_columns`` writes down in
+closed form on flat byte words.  Face map conventions
 (validated by d1*d1 = 0 and by the chord-diagram cross-check, see tests):
 
 * inner face i (1 <= i <= l-1): relabel strands along the surjection
@@ -41,7 +45,7 @@ def _face_monomial(i: int, l: int, factors: tuple) -> tuple:
     neighbour, so one scan over the factors classifies an inner face, and
     only a non-basic image enters the rewrite memo.  The outer faces i = 0
     and i = l serve the expanded complex of ``kan_unit_check``; on a
-    normalized column they vanish, and ``_face_sum`` never takes them.
+    normalized column they vanish, and ``_face_words`` never takes them.
     """
     if 1 <= i <= l - 1:
         # smaller neighbours (0: none) and tangent classes of strands i and i+1
@@ -140,41 +144,100 @@ def normalized_basis(l: int, k: int) -> tuple:
     return tuple(itertools.chain.from_iterable(buckets[d] for d in sorted(buckets, key=basis_order)))
 
 
-def _face_sum(l: int, mono: tuple) -> dict:
-    """Alternating sum of the inner faces of a normalized monomial on l
-    strands, as {factor tuple: nonzero int}.  The outer faces vanish when
-    strands 1 and l occur; a monomial missing either raises
-    ``ConsistencyError``."""
-    # the factors are sorted, so strand 1 occurs iff the first factor starts at 1
-    if not any(b == l for _, b in mono) or mono[0][0] != 1:
-        raise ConsistencyError(f"normalized monomial {mono!r} misses strand 1 or {l}: an outer face is nonzero")
-    acc = {}
-    for i in range(1, l):
-        sign = -1 if i % 2 else 1
-        for m, ic in _face_monomial(i, l, mono):
-            acc[m] = acc.get(m, 0) + sign * ic
-    return {m: c for m, c in acc.items() if c}
+_BYTES = tuple(bytes((v,)) for v in range(256))
+
+
+def _word(mono: tuple, l: int) -> bytes:
+    """Strand word of a basic factor tuple on l strands: byte v - 1 is
+    2 * (the smaller neighbour of strand v, 0 if none) + (1 if g(v, v) is a
+    factor).  On basic monomials this is a bijection.  Neighbours up to 127
+    fit a byte; a normalized monomial on 128 strands has 64 factors, and its
+    column is far past the capacity limit."""
+    w = bytearray(l)
+    for a, b in mono:
+        w[b - 1] += 1 if a == b else 2 * a
+    return bytes(w)
+
+
+def _face_words(l: int, sources):
+    """Alternating inner face sums of normalized monomials on l strands, one
+    {strand word: nonzero int} per source in turn.
+
+    Inner face i keeps the bytes of strands 1..i-1, merges those of i and
+    i+1 into one, and relabels every later neighbour n as n - (n > i), one
+    ``translate`` of the tail.  With n_i, n_j the smaller neighbours of i
+    and i+1, the merged strand is a tangent class if n_j = i, and the face
+    vanishes on a square: both tangent classes, or one of them with n_j = i,
+    or n_i = n_j.  A single neighbour carries over.  Two neighbours a < b
+    take one Arnold step, +(i to b, b to a) - (i to a, b to a), which
+    vanishes when a is already b's neighbour; only when b has another one
+    does the chain go on, through ``_face_monomial`` and the rewrite memo.
+    The outer faces vanish when strands 1 and l occur; a source missing
+    either raises ``ConsistencyError``.
+    """
+    shrink = [bytes(range(min(2 * i + 2, 256))) + bytes(range(2 * i, 254)) for i in range(l)]
+    for mono in sources:
+        w = _word(mono, l)
+        # the factors are sorted, so strand 1 occurs iff the first factor starts at 1
+        if not w[-1] or mono[0][0] != 1:
+            raise ConsistencyError(f"normalized monomial {mono!r} misses strand 1 or {l}: an outer face is nonzero")
+        acc = {}
+        for i in range(1, l):
+            x, y = w[i - 1], w[i]
+            ni, nj = x >> 1, y >> 1
+            sign = -1 if i % 2 else 1
+            if nj == i:
+                if (x | y) & 1:
+                    continue
+                merged = x | 1
+            elif x & y & 1 or (ni and ni == nj):
+                continue
+            elif not (ni and nj):
+                merged = x | y
+            else:
+                a, b = (ni, nj) if ni < nj else (nj, ni)
+                z = w[b - 1]
+                if z >> 1 == a:
+                    continue
+                if z >> 1:
+                    for m, c in _face_monomial(i, l, mono):
+                        key = _word(m, l - 1)
+                        acc[key] = acc.get(key, 0) + sign * c
+                    continue
+                t = (x | y) & 1
+                head = w[:b - 1] + _BYTES[2 * a + (z & 1)] + w[b:i - 1]
+                tail = w[i + 1:].translate(shrink[i])
+                plus, minus = head + _BYTES[2 * b + t] + tail, head + _BYTES[2 * a + t] + tail
+                acc[plus] = acc.get(plus, 0) + sign
+                acc[minus] = acc.get(minus, 0) - sign
+                continue
+            key = w[:i - 1] + _BYTES[merged] + w[i + 1:].translate(shrink[i])
+            acc[key] = acc.get(key, 0) + sign
+        yield {key: c for key, c in acc.items() if c}
 
 
 def d1_matrix(l: int, k: int, f: Field) -> SparseMatrix:
     """Matrix of the alternating face sum from column l to column l-1.
 
     Bases are ``normalized_basis(l, k)`` (columns) and
-    ``normalized_basis(l-1, k)`` (rows).  An inner face maps covered strands
-    onto covered strands and the rewrite keeps each term's strands, so every
-    term of the image lies in the target basis; a term outside it raises
-    ``ConsistencyError``.
+    ``normalized_basis(l-1, k)`` (rows); the faces are walked by
+    ``_face_words`` and the rows looked up by strand word.  An inner face
+    maps covered strands onto covered strands and the rewrite keeps each
+    term's strands, so every term of the image lies in the target basis; a
+    term outside it raises ``ConsistencyError``.
     """
     if l < 1:
         raise ValueError("d1 needs a positive column index")
     src = normalized_basis(l, k)
-    tgt_index = {m: r for r, m in enumerate(normalized_basis(l - 1, k))}
+    tgt_index = {_word(m, l - 1): r for r, m in enumerate(normalized_basis(l - 1, k))}
     entries = {}
-    for c, mono in enumerate(src):
-        for m, coeff in _face_sum(l, mono).items():
-            r = tgt_index.get(m)
+    for c, col in enumerate(_face_words(l, src)):
+        for w, coeff in col.items():
+            r = tgt_index.get(w)
             if r is None:
-                raise ConsistencyError(f"face image term {m!r} of {mono!r} is not a normalized monomial")
+                term = sorted([(x >> 1, v) for v, x in enumerate(w, 1) if x > 1] +
+                              [(v, v) for v, x in enumerate(w, 1) if x & 1])
+                raise ConsistencyError(f"face image term {tuple(term)!r} of {src[c]!r} is not a normalized monomial")
             entries[(r, c)] = coeff
     return SparseMatrix(len(tgt_index), len(src), f, entries)
 

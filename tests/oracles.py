@@ -7,7 +7,8 @@ inclusion-exclusion / degeneracy-image routes to normalized column
 dimensions, and the two assembled matrices built literally (each
 four-term slide canonicalised and validated as a perfect matching, the
 one- and four-term rows over every diagram with no quotient taken first,
-every face a literal relabel of the strands).
+every face a literal relabel of the strands, or each inner face through
+the face map and the rewrite memo alone).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import comb
 from spectral_knots.chords import _matchings, enumerate_diagrams
 from spectral_knots.conf_algebra import basis_monomials, dim_Y, reduce_squarefree
 from spectral_knots.linalg import Field, SparseMatrix
-from spectral_knots.sinha import normalized_basis
+from spectral_knots.sinha import _face_monomial, normalized_basis
 
 
 def naive_rank(dense_rows, p=None) -> int:
@@ -280,4 +281,24 @@ def face_sum_d1(l: int, k: int, field: Field) -> SparseMatrix:
         for m, coeff in img.items():
             if m in tgt:
                 entries[(tgt[m], c)] = coeff
+    return SparseMatrix(len(tgt), len(src), field, entries)
+
+
+def face_sum(l: int, mono: tuple) -> dict:
+    """Alternating sum of the inner faces of a normalized monomial on l
+    strands, as {factor tuple: nonzero int}, each face taken by
+    ``_face_monomial`` and, for a non-basic image, the rewrite memo."""
+    acc = {}
+    for i in range(1, l):
+        sign = -1 if i % 2 else 1
+        for m, ic in _face_monomial(i, l, mono):
+            acc[m] = acc.get(m, 0) + sign * ic
+    return {m: c for m, c in acc.items() if c}
+
+
+def face_monomial_d1(l: int, k: int, field: Field) -> SparseMatrix:
+    """d1 from column l to column l - 1 with one ``face_sum`` per source,
+    each term looked up by its factor tuple in the target basis."""
+    src, tgt = normalized_basis(l, k), {m: r for r, m in enumerate(normalized_basis(l - 1, k))}
+    entries = {(tgt[m], c): v for c, mono in enumerate(src) for m, v in face_sum(l, mono).items()}
     return SparseMatrix(len(tgt), len(src), field, entries)

@@ -1,6 +1,7 @@
 """Frontier values pinned to published ones; deselected by default, run
 with ``python -m pytest -m slow``."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -137,3 +138,30 @@ def test_degree_seven_sinha_diagonal_over_f2_is_fourteen_in_bounded_memory(tmp_p
         "print(e2_diagonal(7, Field(2)))\n", tmp_path)
     assert int(out) == 14
     assert peak_kib < 450 * 1024
+
+
+# sha256 of the stdout of `e2 --n 10 --k-max 5` before the clearing ranks
+# and the word walk of d1, and the nonzero entries of its page
+E2_TEN_FIVE = {
+    "q": ("7f86d37ffaae4825ce465ecd888e84c19725da7a014affc561f9ab6a6e60f57b",
+          {(-10, 10): 4, (-9, 10): 4, (-8, 8): 3, (-7, 8): 2, (-6, 6): 1, (-5, 6): 1, (-4, 4): 1}),
+    "fp:2": ("332b089e0117fdb05ffc737433645ada34c74568522158a4c70081d16bcc539a",
+             {(-10, 10): 4, (-9, 10): 4, (-8, 8): 3, (-8, 10): 1, (-7, 8): 3, (-7, 10): 1, (-6, 6): 1,
+              (-6, 8): 1, (-5, 6): 1, (-4, 4): 1}),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", sorted(E2_TEN_FIVE))
+def test_e2_page_ten_five_is_unchanged_in_bounded_memory(field, tmp_path):
+    # a cold e2 up to k = 5: every column complex is ranked with clearing and
+    # the faces are walked on strand words (peak about 42 MB over Q and
+    # 58 MB over F_2, where the d∘d = 0 check peaks)
+    out, peak_kib = _run_for_peak(
+        "from spectral_knots.cli import main\n"
+        f"main(['--command', 'e2', '--n', '10', '--k-max', '5', '--field', '{field}'])\n", tmp_path)
+    digest, nonzero = E2_TEN_FIVE[field]
+    page = json.loads(out)["pages"]["sinha_e2"]
+    assert {(e["col"], e["row"]): e["dim"] for e in page if e["dim"]} == nonzero
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert peak_kib <= 60 * 1024

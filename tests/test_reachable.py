@@ -26,7 +26,9 @@ COMMANDS = [
     (0, ["--command", command, *sizes, "--field", field, "--format", fmt])
     for command, sizes in (
         ("e2", ["--n", "3", "--k-max", "2"]),
-        ("e2", ["--n", "4", "--k-max", "2"]),  # the first e2 whose faces enter the rewrite
+        # the first e2 with a face that takes two rewrite steps, the only kind
+        # the word walk hands to the face map and the rewrite memo
+        ("e2", ["--n", "5", "--k-max", "3"]),
         ("chord", ["--n", "3"]),
         ("crosscheck", ["--n", "2"]),
         ("kancheck", ["--n", "2", "--k-max", "2"]),

@@ -5,11 +5,18 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import degeneracy_quotient_dim, face_sum_d1, inclusion_exclusion_dim
-from spectral_knots.conf_algebra import _reduce_cached, basis_monomials
+from oracles import degeneracy_quotient_dim, face_monomial_d1, face_sum, face_sum_d1, inclusion_exclusion_dim
+from spectral_knots.conf_algebra import (
+    _default_choice,
+    _reduce_cached,
+    _rewrite_step,
+    _shared_larger,
+    basis_monomials,
+    is_basic,
+)
 from spectral_knots import sinha
 from spectral_knots.linalg import CAPACITY_LIMIT, ComplexError, Field, SparseMatrix
 from spectral_knots.sinha import (
@@ -143,13 +150,13 @@ def test_normalized_dimension_field_independent():
 def test_d1_raises_on_a_face_term_outside_the_basis(monkeypatch):
     # every term of an inner face image covers all l - 1 strands, so a term
     # missing one is a broken face map, not something to project away
-    face = sinha._face_monomial
+    walk = sinha._face_words
 
-    def leaky(i, l, factors):
-        img = face(i, l, factors)
-        return img + ((((1, 1), (1, 2)), 1),) if i == 1 else img
+    def leaky(l, sources):
+        for col in walk(l, sources):
+            yield {**col, sinha._word(((1, 1), (1, 2)), l - 1): 1}
 
-    monkeypatch.setattr(sinha, "_face_monomial", leaky)
+    monkeypatch.setattr(sinha, "_face_words", leaky)
     with pytest.raises(ConsistencyError, match=r"\(\(1, 1\), \(1, 2\)\)"):
         d1_matrix(4, 2, Q)
 
@@ -174,6 +181,9 @@ def test_d1_empty_source():
     m = d1_matrix(3, 1, Q)
     assert (m.rows, m.cols) == (1, 0)
     assert m.is_zero()
+    # past 127 strands no neighbour fits a strand word's byte, and no column
+    # there is both nonempty and within reach
+    assert d1_matrix(200, 1, Q) == SparseMatrix(0, 0, Q)
 
 
 @pytest.mark.parametrize("field", [Q, F2, Field(3)])
@@ -190,6 +200,95 @@ def test_d1_matches_face_pullback(field):
     for l in range(1, 9):
         for k in range(0, 5):
             assert d1_matrix(l, k, field) == face_sum_d1(l, k, field), (l, k, field)
+
+
+def monomial(word):
+    """The sorted factor tuple of a strand word: byte v - 1 is 2 * (the
+    smaller neighbour of strand v, 0 if none) + (1 if g(v, v) is a factor)."""
+    edges = [(x >> 1, v) for v, x in enumerate(word, 1) if x >> 1]
+    return tuple(sorted(edges + [(v, v) for v, x in enumerate(word, 1) if x & 1]))
+
+
+def rewrite_steps(i, l, mono):
+    """Length of the longest rewrite chain of inner face i of a basic
+    monomial, 0 when the face is basic or vanishes."""
+    def steps(m):
+        if is_basic(m):
+            return 0
+        return 1 + max([steps(t) for t, _ in _rewrite_step(m, *_default_choice(_shared_larger(m)))], default=0)
+
+    raw = sorted({(a - (a > i), b - (b > i)) for (a, b) in mono})
+    return 0 if len(raw) < len(mono) else steps(tuple(raw))
+
+
+@st.composite
+def normalized_monomials(draw):
+    """(l, m): up to six distinct factors on strands 1..12, relabelled onto
+    the strands they touch, so that every strand occurs; basic ones only."""
+    pairs = st.tuples(st.integers(1, 12), st.integers(1, 12)).map(lambda p: tuple(sorted(p)))
+    factors = draw(st.lists(pairs, min_size=1, max_size=6, unique=True))
+    label = {s: i for i, s in enumerate(sorted({s for f in factors for s in f}), 1)}
+    mono = tuple(sorted((label[a], label[b]) for a, b in factors))
+    assume(is_basic(mono))
+    return len(label), mono
+
+
+# staircases: face l - 1 takes a chain of l - 3 rewrite steps
+STAIRS = [(l, tuple((a, a + 2) for a in range(1, l - 1))) for l in (5, 6, 7)]
+
+
+def test_staircase_faces_take_chains_of_two_to_four_steps():
+    assert [rewrite_steps(l - 1, l, mono) for l, mono in STAIRS] == [2, 3, 4]
+
+
+@settings(max_examples=300, deadline=None)
+@given(normalized_monomials())
+@example(STAIRS[0])
+@example(STAIRS[1])
+@example(STAIRS[2])
+def test_word_walk_is_the_face_sum(case):
+    # the word walk's closed forms and chains against the face map and the
+    # rewrite memo, over Z
+    l, mono = case
+    assert monomial(sinha._word(mono, l)) == mono
+    (col,) = sinha._face_words(l, [mono])
+    assert {monomial(w): c for w, c in col.items()} == face_sum(l, mono)
+
+
+def test_word_walk_enters_the_face_map_only_for_chains(monkeypatch):
+    # on the matrices of e2 --n 8 --k-max 4, 164 of the 6142 inner faces
+    # take two or more rewrite steps; only those reach _face_monomial
+    face = sinha._face_monomial
+    entered = []
+
+    def record(i, l, factors):
+        entered.append((i, l, factors))
+        return face(i, l, factors)
+
+    monkeypatch.setattr(sinha, "_face_monomial", record)
+    pairs = [(l, k) for k in range(5) for l in range(1, min(8, 2 * k + 1) + 1)]
+    for l, k in pairs:
+        d1_matrix(l, k, Q)
+    chains = [(i, l, m) for l, k in pairs for m in normalized_basis(l, k) for i in range(1, l)
+              if rewrite_steps(i, l, m) >= 2]
+    assert sum(len(normalized_basis(l, k)) * (l - 1) for l, k in pairs) == 6142
+    assert entered == chains and len(chains) == 164
+
+
+# every (l, k) with k <= 6 whose d1 has both dimensions <= 15000
+SMALL_D1 = [(l, k) for k in range(7) for l in range(1, 2 * k + 2)
+            if max(normalized_dim_formula(l, k), normalized_dim_formula(l - 1, k)) <= 15000]
+
+
+def test_d1_is_the_face_monomial_matrix():
+    # entry for entry, as dicts, the matrix of one face map call per face,
+    # rows looked up by factor tuple, over Q, F_2 and F_3; the literal
+    # face_sum_d1 above is three times slower over this range
+    assert len(SMALL_D1) == 43
+    for l, k in SMALL_D1:
+        want = face_monomial_d1(l, k, Q)
+        for field in (Q, F2, Field(3)):
+            assert d1_matrix(l, k, field) == SparseMatrix(want.rows, want.cols, field, want.entries), (l, k, field)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +363,7 @@ def test_kept_sources_are_the_one_term_columns(n):
     assert kept == [d for i, d in enumerate(enumerate_diagrams(n)) if i not in killed]
     # d1's orientation: column j, the chord side's column j, is the face sum
     # of kept[j], and the rows are the face terms in sorted order
-    sums = [sinha._face_sum(2 * n, m) for m in kept]
+    sums = [face_sum(2 * n, m) for m in kept]
     row = {t: r for r, t in enumerate(sorted({t for s in sums for t in s}))}
     for field in (F2, Q):
         m = sinha._kept_face_matrix(2 * n, field)
@@ -375,7 +474,7 @@ def test_face_walk_is_the_generic_face_sum_past_n_six(src):
     # the byte-word walk against the face map and the rewrite memo, over Z
     l = 2 * len(src)
     (col,) = sinha._face_columns(l, [src])
-    assert {tuple(zip(w[::2], w[1::2])): c for w, c in col.items()} == sinha._face_sum(l, src)
+    assert {tuple(zip(w[::2], w[1::2])): c for w, c in col.items()} == face_sum(l, src)
 
 
 @pytest.mark.parametrize("field", [Q, F2])
