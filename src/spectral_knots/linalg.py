@@ -177,6 +177,7 @@ class SparseMatrix:
         other_cols = {}
         for (k, c), b in other.entries.items():
             other_cols.setdefault(c, []).append((k, b))
+        p = self.field.p
         out = {}
         for c, col in other_cols.items():  # one output column at a time, keyed by row
             acc = {}
@@ -184,7 +185,8 @@ class SparseMatrix:
                 for r, a in self_cols.get(k, ()):
                     acc[r] = acc.get(r, 0) + a * b
             for r, v in acc.items():
-                if v:  # a sum that cancels never reaches the constructor
+                # a sum that cancels, or vanishes mod p, never reaches the constructor
+                if v and (p is None or v % p):
                     out[r, c] = v
         return SparseMatrix(self.rows, other.cols, self.field, out)
 

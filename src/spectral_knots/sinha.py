@@ -302,8 +302,9 @@ def e2_diagonal(n_diag: int, f: Field) -> int:
     the rest then fixes the source, and the rewrite never makes a tangent
     class.  So each such source is the only nonzero of a target row of its
     own, adds 1 to the rank, and leaves the kernel alone.  What is ranked
-    is d1 on the kept sources, those with no factor (i, i+1) (the mirror of
-    the one-term quotient of chord diagrams), in d1's orientation: one row
+    is d1 on the kept sources, those with no factor (i, i+1) (the columns
+    of the one-term quotient of linear chord diagrams; the chord side ranks
+    circular diagrams modulo rotation instead), in d1's orientation: one row
     per face term they hit, numbered in ``basis_order``, and one column per
     kept source.  The entry is cols - rank.  The kept sources are
     enumerated directly, so neither the diagonal column (2n, n) nor the

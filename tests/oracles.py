@@ -7,8 +7,11 @@ inclusion-exclusion / degeneracy-image routes to normalized column
 dimensions, and the two assembled matrices built literally (each
 four-term slide canonicalised and validated as a perfect matching, the
 one- and four-term rows over every diagram with no quotient taken first,
-every face a literal relabel of the strands, or each inner face through
-the face map and the rewrite memo alone).
+the four-term rows over the linear one-term quotient by a partner-word
+walk over every anchor, the literal slides with the anchor at point 1
+mapped to rotation orbits by least rotation, every face a literal relabel
+of the strands, or each inner face through the face map and the rewrite
+memo alone).
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ import itertools
 from fractions import Fraction
 from math import comb
 
-from spectral_knots.chords import _matchings, enumerate_diagrams
+from spectral_knots.chords import _matchings, enumerate_diagrams, one_term_relations
 from spectral_knots.conf_algebra import basis_monomials, dim_Y, reduce_squarefree
-from spectral_knots.linalg import Field, SparseMatrix
+from spectral_knots.linalg import ConsistencyError, Field, SparseMatrix
 from spectral_knots.sinha import _face_monomial, normalized_basis
 
 
@@ -218,6 +221,126 @@ def quotient_slide_rows(n: int):
     column = {d: j for j, d in enumerate(d for d in enumerate_diagrams(n) if not isolated(d))}
     rows = ([(column[d], c) for d, c in terms.items() if d in column] for terms in slide_four_term_relations(n))
     return [row for row in rows if row]
+
+
+def partner_word(diagram) -> bytes:
+    """Partner word of a linear diagram: byte p is the partner of position
+    p, both counted from 0, so each diagram has exactly one word."""
+    w = bytearray(2 * len(diagram))
+    for a, b in diagram:
+        w[a - 1], w[b - 1] = b - 1, a - 1
+    return bytes(w)
+
+
+def linear_four_term_relations(n: int):
+    """The four-term vectors over the linear one-term quotient, as terms
+    dicts {column: coefficient}: a column is a diagram's rank among the
+    diagrams not in ``one_term_relations(n)``, in enumeration order.
+
+    Every anchor of 1..2n-1 is walked.  The matchings of 2n-2 points are
+    placed around each anchor as skeletons; a skeleton with a chord
+    (a, a+1) is skipped, since none of its terms survives the quotient, and
+    each other skeleton's 2n slides are one walk of the moving endpoint's
+    partner word, looked up in an index of the enumerated basis.  Terms on
+    killed diagrams are dropped, and so is a vector left empty.
+    """
+    killed = set(one_term_relations(n))
+    kept = itertools.count()
+    # partner word -> column, -1 for a diagram the one-term relations kill
+    index = {partner_word(d): -1 if i in killed else next(kept) for i, d in enumerate(enumerate_diagrams(n))}
+    npts = 2 * n - 1
+    # each base with at most one chord (a, a+1), and the one anchor that
+    # splits that chord (0: any anchor)
+    bases = []
+    for base in _matchings(tuple(range(1, npts))):
+        adjacent = [b for (a, b) in base if b == a + 1]
+        if len(adjacent) < 2:
+            bases.append((base, adjacent[0] if adjacent else 0))
+    out = []
+    for anchor in range(1, npts + 1):
+        for base, split in bases:
+            if split and split != anchor:
+                continue
+            skeleton = [(a + (a >= anchor), b + (b >= anchor)) for (a, b) in base]
+            # slot 0: the moving endpoint at position 0, skeleton point p at p
+            w = bytearray(npts + 1)
+            w[0], w[anchor] = anchor, 0
+            for a, b in skeleton:
+                w[a], w[b] = b, a
+            key = bytes(w)
+            slides = [key]
+            for s in range(1, npts + 1):
+                x, y = w[s - 1], w[s]
+                # passing its own anchor leaves the same diagram
+                if x != s:
+                    w[s - 1], w[y], w[s], w[x] = y, s - 1, x, s
+                    key = bytes(w)
+                slides.append(key)
+            at = list(map(index.get, slides))
+            if None in at:
+                word = list(slides[at.index(None)])
+                raise ConsistencyError(f"slide with partner word {word} is not a diagram with {n} chords")
+            for (b1, b2) in skeleton:
+                acc = {}
+                for slot, sign in ((b1 - 1, 1), (b1, -1), (b2 - 1, 1), (b2, -1)):
+                    acc[at[slot]] = acc.get(at[slot], 0) + sign
+                terms = {j: c for j, c in acc.items() if c and j >= 0}
+                if terms:
+                    out.append(terms)
+    return out
+
+
+def linear_relation_matrix(n: int, field: Field) -> SparseMatrix:
+    """``linear_four_term_relations(n)`` as rows over the diagrams not in
+    ``one_term_relations(n)``; ``cols - rank`` is dim_A(n)."""
+    rows = linear_four_term_relations(n)
+    cols = len(enumerate_diagrams(n)) - len(one_term_relations(n))
+    return SparseMatrix(len(rows), cols, field, {(r, j): c for r, terms in enumerate(rows) for j, c in terms.items()})
+
+
+def cyclically_isolated(diagram) -> bool:
+    """True when the closed diagram has a chord (a, a+1 mod 2n): a chord
+    (a, a+1) or the closing chord (1, 2n)."""
+    return isolated(diagram) or (1, 2 * len(diagram)) in diagram
+
+
+def least_rotation(diagram) -> tuple:
+    """The least sorted pair tuple among the rotations p -> p + r mod 2n of
+    a diagram on the points 1..2n."""
+    m = 2 * len(diagram)
+    turn = lambda p, r: (p - 1 + r) % m + 1
+    return min(tuple(sorted(tuple(sorted((turn(a, r), turn(b, r)))) for (a, b) in diagram)) for r in range(m or 1))
+
+
+def orbit_columns(n: int) -> dict:
+    """least rotation -> column for the diagrams that are not cyclically
+    isolated, numbered in enumeration order of each orbit's first member."""
+    column = {}
+    for d in enumerate_diagrams(n):
+        if not cyclically_isolated(d):
+            column.setdefault(least_rotation(d), len(column))
+    return column
+
+
+def orbit_slide_rows(n: int):
+    """The vectors of ``literal_slides(n)`` with the anchor at point 1, in
+    their order, each as {orbit column: coefficient}: terms that are
+    cyclically isolated dropped, the others added per orbit, zeros and
+    empty rows dropped."""
+    column = orbit_columns(n)
+    out = []
+    for skeleton, terms in literal_slides(n):
+        if any(1 in chord for chord in skeleton):
+            continue
+        row = {}
+        for d, c in terms.items():
+            if not cyclically_isolated(d):
+                j = column[least_rotation(d)]
+                row[j] = row.get(j, 0) + c
+        row = {j: c for j, c in row.items() if c}
+        if row:
+            out.append(row)
+    return out
 
 
 def literal_relations(n: int):

@@ -117,14 +117,26 @@ def test_degree_six_crosscheck_over_f2_fits_in_memory(tmp_path):
 
 @pytest.mark.slow
 def test_degree_seven_over_f2_is_bar_natans_fourteen_in_bounded_memory(tmp_path):
-    # dim_A(7) = 14 (Bar-Natan, as above), ranked over the one-term quotient:
-    # 47844 of the 135135 diagrams keep a column, and the four-term vectors
-    # are released as they become rows
+    # dim_A(7) = 14 (Bar-Natan, as above), ranked over the circular one-term
+    # quotient modulo rotation: 3218 orbit columns and 21601 rows, where the
+    # linear quotient has 47844 columns of the 135135 diagrams (peak about
+    # 42 MB)
     out, peak_kib = _run_for_peak(
         "from spectral_knots.chords import dim_A\nfrom spectral_knots.linalg import Field\n"
         "print(dim_A(7, Field(2)))\n", tmp_path)
     assert int(out) == 14
-    assert peak_kib < 560 * 1024
+    assert peak_kib < 120 * 1024
+
+
+@pytest.mark.slow
+def test_degree_seven_over_f3_is_bar_natans_fourteen_in_bounded_memory(tmp_path):
+    # the same over F_3, a cross-field check of the value (about 10 s, peak
+    # about 150 MB)
+    out, peak_kib = _run_for_peak(
+        "from spectral_knots.chords import dim_A\nfrom spectral_knots.linalg import Field\n"
+        "print(dim_A(7, Field(3)))\n", tmp_path)
+    assert int(out) == 14
+    assert peak_kib < 250 * 1024
 
 
 @pytest.mark.slow
@@ -154,9 +166,9 @@ E2_TEN_FIVE = {
 @pytest.mark.slow
 @pytest.mark.parametrize("field", sorted(E2_TEN_FIVE))
 def test_e2_page_ten_five_is_unchanged_in_bounded_memory(field, tmp_path):
-    # a cold e2 up to k = 5: every column complex is ranked with clearing and
-    # the faces are walked on strand words (peak about 42 MB over Q and
-    # 58 MB over F_2, where the d∘d = 0 check peaks)
+    # a cold e2 up to k = 5: every column complex is ranked with clearing,
+    # the faces are walked on strand words, and the d∘d = 0 checks keep no
+    # sum that vanishes mod p (peak about 42 MB over Q and over F_2)
     out, peak_kib = _run_for_peak(
         "from spectral_knots.cli import main\n"
         f"main(['--command', 'e2', '--n', '10', '--k-max', '5', '--field', '{field}'])\n", tmp_path)
@@ -164,4 +176,4 @@ def test_e2_page_ten_five_is_unchanged_in_bounded_memory(field, tmp_path):
     page = json.loads(out)["pages"]["sinha_e2"]
     assert {(e["col"], e["row"]): e["dim"] for e in page if e["dim"]} == nonzero
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert peak_kib <= 60 * 1024
+    assert peak_kib <= 50 * 1024

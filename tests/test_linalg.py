@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_product, dense_rows, naive_rank, unquotiented_relation_matrix
+from oracles import dense_product, dense_rows, linear_relation_matrix, naive_rank, unquotiented_relation_matrix
 from spectral_knots.chords import relation_matrix
 from spectral_knots.linalg import (
     ComplexError,
@@ -169,6 +169,25 @@ def test_compose_cancellation():
     a = mat([[1, 1]])
     b = mat([[1], [-1]])
     assert a.compose(b) == SparseMatrix(1, 1, Q)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_compose_drops_sums_that_vanish_mod_p(p, monkeypatch):
+    # every integer sum of this product is p, so over F_p none of them
+    # reaches the constructor
+    a, b = [[1, 1], [1, 1]], [[1, 1], [p - 1, p - 1]]
+    assert dense_product(a, b) == [[p, p], [p, p]]
+    a, b = mat(a, Field(p)), mat(b, Field(p))
+    seen = []
+    real = SparseMatrix.__init__
+
+    def spy(self, rows, cols, field, entries=None):
+        seen.append(dict(entries or {}))
+        real(self, rows, cols, field, entries)
+
+    monkeypatch.setattr(SparseMatrix, "__init__", spy)
+    assert a.compose(b).is_zero()
+    assert seen == [{}]
 
 
 def test_compose_shape_error():
@@ -352,7 +371,8 @@ def test_f2_rank_matches_dense_oracle(dense):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_f2_rank_matches_dict_sweep_on_real_matrices(n):
     # the unquotiented relation matrix keeps the one-term rows of weight 1
-    for m in (d1_matrix(2 * n, n, F2), relation_matrix(n, F2), unquotiented_relation_matrix(n, F2)):
+    for m in (d1_matrix(2 * n, n, F2), relation_matrix(n, F2), linear_relation_matrix(n, F2),
+              unquotiented_relation_matrix(n, F2)):
         rows = {}
         for (r, c), v in m.entries.items():
             rows.setdefault(r, {})[c] = v

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import degeneracy_quotient_dim, face_monomial_d1, face_sum, face_sum_d1, inclusion_exclusion_dim
+from oracles import (
+    degeneracy_quotient_dim,
+    face_monomial_d1,
+    face_sum,
+    face_sum_d1,
+    inclusion_exclusion_dim,
+    linear_relation_matrix,
+)
 from spectral_knots.conf_algebra import (
     _default_choice,
     _reduce_cached,
@@ -354,20 +361,22 @@ def test_adjacent_sources_own_a_private_tangent_row(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_kept_sources_are_the_one_term_columns(n):
-    # a test-side cross-check only: the Sinha side never reads the chord side
-    from spectral_knots.chords import enumerate_diagrams, one_term_relations, relation_matrix
+    # a test-side cross-check only: the Sinha side never reads the chord
+    # side, which ranks rotation orbits; the kept sources are the columns of
+    # the oracle's linear one-term quotient
+    from spectral_knots.chords import enumerate_diagrams, one_term_relations
 
     kept = [m for m in normalized_basis(2 * n, n) if not adjacent(m)]
     assert sinha._kept_matchings(2 * n) == kept
     killed = set(one_term_relations(n))
     assert kept == [d for i, d in enumerate(enumerate_diagrams(n)) if i not in killed]
-    # d1's orientation: column j, the chord side's column j, is the face sum
+    # d1's orientation: column j, the linear oracle's column j, is the face sum
     # of kept[j], and the rows are the face terms in sorted order
     sums = [face_sum(2 * n, m) for m in kept]
     row = {t: r for r, t in enumerate(sorted({t for s in sums for t in s}))}
     for field in (F2, Q):
         m = sinha._kept_face_matrix(2 * n, field)
-        assert m.cols == relation_matrix(n, field).cols == len(kept)
+        assert m.cols == linear_relation_matrix(n, field).cols == len(kept)
         entries = {(row[t], j): c for j, s in enumerate(sums) for t, c in s.items()}
         assert m == SparseMatrix(len(row), len(kept), field, entries)
         if (n, field) != (6, Q):  # ranked in tests/test_frontier.py: it takes seconds
@@ -397,17 +406,16 @@ def normalized_rows(m):
 def test_twisted_sinha_rows_are_chord_rows(n, field):
     """Twist column j of the Sinha diagonal matrix by (-1)^cr of the j-th
     kept matching, cr its number of crossing chord pairs: then every row is,
-    up to a scalar, a row of the chord relation matrix, whose columns are the
-    same matchings in the same order.  The sign is an empirical finding, not
-    yet derived from the paper's map; without it only 1, 2 and 8 of the
-    5, 67 and 844 distinct rows at n = 3, 4, 5 match."""
-    from spectral_knots.chords import relation_matrix
-
+    up to a scalar, a row of the linear chord relation matrix of the oracle,
+    whose columns are the same matchings in the same order.  The sign is an
+    empirical finding, not yet derived from the paper's map; without it
+    only 1, 2 and 8 of the 5, 67 and 844 distinct rows at n = 3, 4, 5
+    match."""
     sign = [(-1) ** crossings(m) for m in sinha._kept_matchings(2 * n)]
     m = sinha._kept_face_matrix(2 * n, field)
     twisted = SparseMatrix(m.rows, m.cols, field, {(r, c): v * sign[c] for (r, c), v in m.entries.items()})
     sinha_rows = normalized_rows(twisted)
-    assert sinha_rows <= normalized_rows(relation_matrix(n, field))
+    assert sinha_rows <= normalized_rows(linear_relation_matrix(n, field))
     assert len(sinha_rows) == [0, 0, 5, 67, 844][n - 1]
 
 
