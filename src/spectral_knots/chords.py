@@ -194,13 +194,13 @@ def relation_matrix(n: int, f: Field) -> SparseMatrix:
     relations.
     """
     index, cols = _orbit_index(n)
-    entries = {}
+    columns = [{} for _ in range(cols)]
     vectors = four_term_relations(n, index)
     for r, vec in enumerate(vectors):
         vectors[r] = None  # the list no longer holds a vector that has become a row
         for j, c in vec.terms.items():
-            entries[(r, j)] = c
-    return SparseMatrix(len(vectors), cols, f, entries)
+            columns[j][r] = c
+    return SparseMatrix(len(vectors), cols, f, columns)
 
 
 def check_diagram_capacity(n: int) -> None:

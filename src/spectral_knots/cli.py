@@ -19,6 +19,8 @@ configuration plus the bytes of the package's source files.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import os
 import sys
@@ -215,6 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # the output and the cache file are written before main returns, so the
+    # interpreter's final collections need not walk the heap: freezing it at
+    # exit moves every object out of their reach (registered once per process)
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig(

@@ -6,27 +6,40 @@ prime field F_p, p < 2**64.  A matrix carries the `Field` that interprets
 it, and its constructor is the only place where a scalar is reduced into
 it (`Field.coerce`); in between, scalars meet only plain `+`, `-` and `*`.
 
+A matrix is held as its columns, one {row: nonzero} dict each, the lines
+its builders make (compressed-column storage: T. A. Davis, Direct Methods
+for Sparse Linear Systems, SIAM 2006); ``compose`` and ``rank`` read them
+as they stand, and the {(row, col): value} view ``entries`` is built only
+when something reads it.
+
 Over F_2 a rank is an XOR basis of packed-int lines (`_rank_f2`): one XOR
-per row update, and at most min(rows, cols)**2 / 8 bytes of basis.
+per line update.  The lines are the columns or the rows, whichever side is
+shorter, so that few of them are dependent, while that basis, at most
+min(rows, cols) ints of max(rows, cols) bits, fits `_F2_BASIS_BUDGET`;
+past it they run along the longer side, with at most min(rows, cols)**2 / 8
+bytes of basis (`_f2_columns_as_lines`).
 
 Every other rank goes through one eliminator, over Q or odd F_p alike,
-and one pivot step (`_pivot`) is the only code that updates a row.  A
-structured presolve (LaMacchia & Odlyzko, CRYPTO '90) first pivots on every
-row of weight 1 or 2: a weight-1 row takes out its column, a weight-2 row
-merges two columns.  One left-to-right sweep over the columns then pivots
-on the sparsest active row of each column, ties broken by lowest row index;
-fill-in lands only right of the pivot column, so the pivot search never
-rescans.  Over Q the rows are cleared of denominators and kept primitive:
-each updated row is divided by the gcd of its entries, which bounds
-coefficient swell by the minors of the integer matrix, and a pivot row
-leading with -1 is negated, so the rows it updates are not rescaled.  Over
-F_p each pivot row is scaled to a leading 1 and rows hold residues.
+and one pivot step (`_pivot`) is the only code that updates a row.  It
+takes the kept columns of the matrix as its rows.  A structured presolve
+(LaMacchia & Odlyzko, CRYPTO '90) first pivots on every row of weight 1 or
+2: a weight-1 row takes out its column, a weight-2 row merges two columns.
+One left-to-right sweep over the columns then pivots on the sparsest
+active row of each column, ties broken by lowest row index; fill-in lands
+only right of the pivot column, so the pivot search never rescans.  Over Q
+the rows are cleared of denominators and kept primitive: each updated row
+is divided by the gcd of its entries, which bounds coefficient swell by the
+minors of the integer matrix, and a pivot row leading with -1 is negated,
+so the rows it updates are not rescaled.  Over F_p each pivot row is
+scaled to a leading 1 and rows hold residues.
 
-Both rank routines can report the rows they pivot on.  ``homology_dim``
-uses them for clearing: the columns of d_i that are pivot rows of d_{i+1}
-carry no rank of d_i and are skipped (the lemma is in its docstring).  The
-lemma holds only on a complex, so every composite d_i * d_{i+1} is checked
-to vanish before the first rank.
+Both rank routines can report pivot rows of the matrix, as many as the
+rank, on which the ranked columns have full rank: the eliminator's pivot
+positions, or over F_2 the leading positions of a column basis or the rows
+entering a row basis.  ``homology_dim`` uses them for clearing: the columns
+of d_i that are pivot rows of d_{i+1} carry no rank of d_i and are skipped
+(the lemma is in its docstring).  The lemma holds only on a complex, so
+every composite d_i * d_{i+1} is checked to vanish before the first rank.
 """
 
 from __future__ import annotations
@@ -49,6 +62,12 @@ class ConsistencyError(RuntimeError):
 # largest basis (chord diagrams, or monomials of one column) a request may
 # build, and the most entries an e2 table may hold
 CAPACITY_LIMIT = 200_000
+
+# largest XOR basis, in bytes, for which an F_2 rank runs its lines along
+# the shorter side (``_f2_columns_as_lines``): the Sinha diagonal at n = 6
+# needs 6.2 MB and the circular chord matrix at n = 7 8.7 MB, while the
+# Sinha diagonal at n = 7 would need 1.26 GB and keeps the longer side
+_F2_BASIS_BUDGET = 64 << 20
 
 
 class CapacityError(RuntimeError):
@@ -139,29 +158,47 @@ class Field:
 
 
 class SparseMatrix:
-    """Sparse matrix over an exact field.
+    """Sparse matrix over an exact field, held as its columns.
 
-    ``entries`` maps (row, col) to a nonzero scalar of ``field``.  All
-    operations return new values.
+    ``columns`` is a list of ``cols`` dicts; column c maps a row index to a
+    nonzero scalar of ``field``.  All operations return new values.
     """
 
-    __slots__ = ("rows", "cols", "field", "entries")
+    __slots__ = ("rows", "cols", "field", "columns", "_entries")
 
-    def __init__(self, rows: int, cols: int, field: Field, entries=None):
+    def __init__(self, rows: int, cols: int, field: Field, columns=None):
+        if columns is None:
+            columns = [{}] * cols
+        elif len(columns) != cols:
+            raise ShapeError(f"{len(columns)} columns given for a {rows}x{cols} matrix")
         self.rows = rows
         self.cols = cols
         self.field = field
-        clean = {}
-        for (r, c), v in (entries or {}).items():
-            if not (0 <= r < rows and 0 <= c < cols):
+        clean = []
+        for c, col in enumerate(columns):
+            if col and not (min(col) >= 0 and max(col) < rows):
+                r = min(col) if min(col) < 0 else max(col)
                 raise ShapeError(f"entry ({r},{c}) outside {rows}x{cols}")
-            v = field.coerce(v)
-            if v != 0:
-                clean[(r, c)] = v
-        self.entries = clean
+            col = {r: field.coerce(v) for r, v in col.items()}
+            if not all(col.values()):
+                col = {r: v for r, v in col.items() if v}
+            clean.append(col)
+        self.columns = clean
+        self._entries = None
+
+    @property
+    def entries(self):
+        """Read-only {(row, col): value} view of the nonzero entries, built
+        on the first read and kept; no command reads it."""
+        if self._entries is None:
+            from types import MappingProxyType
+
+            self._entries = MappingProxyType(
+                {(r, c): v for c, col in enumerate(self.columns) for r, v in col.items()})
+        return self._entries
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self.columns)
 
     def compose(self, other: "SparseMatrix") -> "SparseMatrix":
         """Exact matrix product self * other (apply other first)."""
@@ -171,23 +208,16 @@ class SparseMatrix:
             raise ShapeError(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
-        self_cols = {}
-        for (r, k), a in self.entries.items():
-            self_cols.setdefault(k, []).append((r, a))
-        other_cols = {}
-        for (k, c), b in other.entries.items():
-            other_cols.setdefault(c, []).append((k, b))
+        left = self.columns
         p = self.field.p
-        out = {}
-        for c, col in other_cols.items():  # one output column at a time, keyed by row
+        out = []
+        for col in other.columns:  # column c of the product is self * (column c of other)
             acc = {}
-            for k, b in col:
-                for r, a in self_cols.get(k, ()):
+            for k, b in col.items():
+                for r, a in left[k].items():
                     acc[r] = acc.get(r, 0) + a * b
-            for r, v in acc.items():
-                # a sum that cancels, or vanishes mod p, never reaches the constructor
-                if v and (p is None or v % p):
-                    out[r, c] = v
+            # a sum that cancels, or vanishes mod p, never reaches the constructor
+            out.append({r: v for r, v in acc.items() if v and (p is None or v % p)})
         return SparseMatrix(self.rows, other.cols, self.field, out)
 
     def __eq__(self, other):
@@ -195,29 +225,35 @@ class SparseMatrix:
             isinstance(other, SparseMatrix)
             and (self.rows, self.cols) == (other.rows, other.cols)
             and self.field == other.field
-            and self.entries == other.entries
+            and self.columns == other.columns
         )
 
     def __repr__(self):
-        return f"SparseMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzero, {self.field.spec()})"
+        nnz = sum(map(len, self.columns))
+        return f"SparseMatrix({self.rows}x{self.cols}, {nnz} nonzero, {self.field.spec()})"
 
     def rank(self, skip=(), pivots=None) -> int:
         """Rank of the columns outside ``skip``.
 
         ``pivots``, when given, is a set that receives as many rows as the
-        rank, on which those columns have full rank: the rows ``_pivot``
-        pops, or over F_2 the lines entering the XOR basis (their
-        leading-bit coordinates when the lines are columns).
+        rank, on which those columns have full rank: the pivot positions of
+        ``_eliminate``, or over F_2 the leading positions of the XOR basis
+        when its lines are the columns, and the rows entering it when they
+        are the rows (``_f2_columns_as_lines``).
         """
-        entries = self.entries
-        if skip:
-            entries = {rc: v for rc, v in entries.items() if rc[1] not in skip}
-        if self.field.p == 2:
-            return _rank_f2(entries, self.rows < self.cols, pivots)
+        lines = {c: col for c, col in enumerate(self.columns) if col and c not in skip}
+        if self.field.p != 2:
+            return _eliminate({c: dict(col) for c, col in lines.items()}, self.field.p, pivots)
+        if _f2_columns_as_lines(self.rows, len(lines)):
+            basis = _rank_f2(lines, self.rows)
+            if pivots is not None:
+                pivots.update(self.rows - b for b in basis)
+            return len(basis)
         rows = {}
-        for (r, c), v in entries.items():
-            rows.setdefault(r, {})[c] = v
-        return _eliminate(rows, self.field.p, pivots)
+        for c, col in lines.items():
+            for r in col:
+                rows.setdefault(r, []).append(c)
+        return len(_rank_f2(rows, self.cols, pivots))
 
 
 def _pivot(rows, col_rows, i, x, p, queue=None) -> None:
@@ -272,7 +308,7 @@ def _pivot(rows, col_rows, i, x, p, queue=None) -> None:
 
 def _presolve(rows, col_rows, p, pivots=None) -> int:
     """Structured elimination of weight-1 and weight-2 rows; returns their
-    rank and adds the rows it pivots on to ``pivots`` when given.
+    rank and adds the columns it pivots on to ``pivots`` when given.
 
     Each such row pivots on its column with fewer rows to update: a weight-1
     row deletes its column, a weight-2 row merges its pivot column into its
@@ -286,17 +322,20 @@ def _presolve(rows, col_rows, p, pivots=None) -> int:
         row = rows.get(i)
         if row is None or len(row) > 2:
             continue
-        _pivot(rows, col_rows, i, min(row, key=lambda c: len(col_rows[c])), p, queue)
+        x = min(row, key=lambda c: len(col_rows[c]))
+        _pivot(rows, col_rows, i, x, p, queue)
         rank += 1
         if pivots is not None:
-            pivots.add(i)
+            pivots.add(x)
     return rank
 
 
 def _eliminate(rows, p, pivots=None) -> int:
     """Rank of ``rows`` ({index: {col: nonzero value}}) over Q (p is None)
-    or F_p; the row dicts are consumed, and the indices of the rows pivoted
-    on are added to ``pivots`` when given.
+    or F_p; the row dicts are consumed, and the columns pivoted on are added
+    to ``pivots`` when given.  ``SparseMatrix.rank`` passes its kept columns
+    as these rows, so the columns pivoted on are matrix rows: the pivot
+    positions, on which the ranked columns have full rank.
 
     After the presolve, the sweep visits the columns in increasing order and
     pivots on the sparsest active row of each.  Columns left of the current
@@ -320,32 +359,38 @@ def _eliminate(rows, p, pivots=None) -> int:
             _pivot(rows, col_rows, i, pc, p)
             rank += 1
             if pivots is not None:
-                pivots.add(i)
+                pivots.add(pc)
     return rank
 
 
-def _rank_f2(entries, transpose, pivots=None) -> int:
-    """Rank over F_2 of the matrix whose nonzero entries sit at the keys of
-    ``entries``; the values are not read.
+def _f2_columns_as_lines(rows: int, cols: int) -> bool:
+    """Whether an F_2 rank of a rows x cols matrix packs its columns as the
+    lines of ``_rank_f2``, not its rows.
 
-    The keys are grouped into one list per row, or per column when
-    ``transpose`` is set (pass it when the matrix is wider than tall, so that
-    the lines run along the longer side).  In increasing index order, each
-    line is packed, only when its turn comes, into one int with index 0 on
-    the highest bit, then reduced against a basis of packed lines keyed by
-    leading bit: each step is one XOR.  The basis holds at most
-    min(rows, cols) ints of as many bits, at most min(rows, cols)**2 / 8
-    bytes.  ``pivots``, when given, receives the row indices of the basis:
-    the lines that enter it, or, for column lines, their leading bits.
+    The lines run along the shorter side, so that few of them are
+    dependent, while that basis bound, min(rows, cols) ints of
+    max(rows, cols) bits, is within ``_F2_BASIS_BUDGET``; past it they run
+    along the longer side, whose basis is at most min(rows, cols)**2 / 8
+    bytes.
     """
-    lines = {}
-    for r, c in entries:
-        if transpose:
-            r, c = c, r
-        lines.setdefault(r, []).append(c)
-    top = max(map(max, lines.values()), default=0)
+    shorter = cols <= rows
+    return shorter if rows * cols <= 8 * _F2_BASIS_BUDGET else not shorter
+
+
+def _rank_f2(lines, width, entering=None) -> dict:
+    """XOR basis over F_2 of ``lines`` ({index: positions in range(width)}),
+    keyed by leading bit; the rank is its size.
+
+    In increasing index order, each line is packed, only when its turn
+    comes, into one int with position i on bit width - 1 - i, so a key b
+    is the leading position width - b.  It is then reduced against the
+    basis: each step is one XOR.  The positions of a line are only
+    iterated, so a column dict of ``SparseMatrix`` is a line as it stands.
+    ``entering``, when given, receives the index of each line that enters
+    the basis.
+    """
+    top = width - 1
     basis = {}
-    entering = pivots is not None and not transpose
     for k in sorted(lines):
         x = 0
         for i in lines[k]:
@@ -356,11 +401,9 @@ def _rank_f2(entries, transpose, pivots=None) -> int:
             if y is x:  # entered, or a cached small int equal to y: then x ^ y = 0
                 break
             x ^= y
-        if entering and len(basis) > size:
-            pivots.add(k)
-    if pivots is not None and transpose:
-        pivots.update(top + 1 - b for b in basis)
-    return len(basis)
+        if entering is not None and len(basis) > size:
+            entering.add(k)
+    return basis
 
 
 def homology_dim(differentials) -> list:

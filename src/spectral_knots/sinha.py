@@ -230,16 +230,18 @@ def d1_matrix(l: int, k: int, f: Field) -> SparseMatrix:
         raise ValueError("d1 needs a positive column index")
     src = normalized_basis(l, k)
     tgt_index = {_word(m, l - 1): r for r, m in enumerate(normalized_basis(l - 1, k))}
-    entries = {}
+    columns = []
     for c, col in enumerate(_face_words(l, src)):
+        column = {}
         for w, coeff in col.items():
             r = tgt_index.get(w)
             if r is None:
                 term = sorted([(x >> 1, v) for v, x in enumerate(w, 1) if x > 1] +
                               [(v, v) for v, x in enumerate(w, 1) if x & 1])
                 raise ConsistencyError(f"face image term {tuple(term)!r} of {src[c]!r} is not a normalized monomial")
-            entries[(r, c)] = coeff
-    return SparseMatrix(len(tgt_index), len(src), f, entries)
+            column[r] = coeff
+        columns.append(column)
+    return SparseMatrix(len(tgt_index), len(src), f, columns)
 
 
 def column_homology(n: int, k: int, f: Field) -> list:
@@ -366,8 +368,8 @@ def _kept_face_matrix(l: int, f: Field) -> SparseMatrix:
     number = [0] * len(first)
     for r, w in enumerate(sorted(first)):
         number[first[w]] = r
-    entries = {(number[j], c): v for c, col in enumerate(cols) for j, v in col.items()}
-    return SparseMatrix(len(number), len(cols), f, entries)
+    cols = [{number[j]: v for j, v in col.items()} for col in cols]
+    return SparseMatrix(len(number), len(cols), f, cols)
 
 
 def _face_columns(l: int, sources):
@@ -473,15 +475,17 @@ def _expanded_column_homology(n: int, k: int, f: Field) -> dict:
     def dmat(r: int) -> SparseMatrix:
         src = bases[r]
         tgt_index = {key: i for i, key in enumerate(bases[r - 1])}
-        entries = {}
-        for c, (lab, mono) in enumerate(src):
+        columns = []
+        for lab, mono in src:
+            col = {}
             for i in range(0, r + 1):
                 newlab = lab[:i] + lab[i + 1:]
                 sign = -1 if i % 2 else 1
                 for m, ic in _face_monomial(i, r, mono):
-                    key = (tgt_index[(newlab, m)], c)
-                    entries[key] = entries.get(key, 0) + sign * ic
-        return SparseMatrix(len(bases[r - 1]), len(src), f, entries)
+                    key = tgt_index[(newlab, m)]
+                    col[key] = col.get(key, 0) + sign * ic
+            columns.append(col)
+        return SparseMatrix(len(bases[r - 1]), len(src), f, columns)
 
     hs = homology_dim([dmat(r) for r in range(1, n + 1)])
     return {r: h for r, h in enumerate(hs) if bases[r]}

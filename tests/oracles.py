@@ -26,6 +26,17 @@ from spectral_knots.linalg import ConsistencyError, Field, SparseMatrix
 from spectral_knots.sinha import _face_monomial, normalized_basis
 
 
+def from_entries(rows: int, cols: int, field: Field, entries: dict) -> SparseMatrix:
+    """The matrix of a {(row, col): value} dict, regrouped into the column
+    dicts its constructor takes."""
+    columns = [{} for _ in range(cols)]
+    for (r, c), v in entries.items():
+        if not 0 <= c < cols:
+            raise IndexError(f"column {c} outside {rows}x{cols}")
+        columns[c][r] = v
+    return SparseMatrix(rows, cols, field, columns)
+
+
 def naive_rank(dense_rows, p=None) -> int:
     """Dense Gaussian elimination, first nonzero pivot, no cleverness."""
     if p is None:
@@ -116,7 +127,7 @@ def word_quotient_matrix(l: int, k: int, field: Field, extra_rows=()) -> SparseM
     words, rows = word_relation_rows(l, k)
     rows = list(rows) + list(extra_rows)
     entries = {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}
-    return SparseMatrix(len(rows), len(words), field, entries)
+    return from_entries(len(rows), len(words), field, entries)
 
 
 def word_quotient_dim(l: int, k: int, field: Field) -> int:
@@ -161,7 +172,7 @@ def degeneracy_quotient_dim(l: int, k: int, field: Field) -> int:
             # the codegeneracy forgetting strand i relabels 1..l-1 into 1..l, skipping i
             entries[(r, index[tuple(sorted((a + (a >= i), b + (b >= i)) for (a, b) in m))])] = 1
             r += 1
-    mat = SparseMatrix(r, len(big), field, entries)
+    mat = from_entries(r, len(big), field, entries)
     return len(big) - mat.rank()
 
 
@@ -295,7 +306,7 @@ def linear_relation_matrix(n: int, field: Field) -> SparseMatrix:
     ``one_term_relations(n)``; ``cols - rank`` is dim_A(n)."""
     rows = linear_four_term_relations(n)
     cols = len(enumerate_diagrams(n)) - len(one_term_relations(n))
-    return SparseMatrix(len(rows), cols, field, {(r, j): c for r, terms in enumerate(rows) for j, c in terms.items()})
+    return from_entries(len(rows), cols, field, {(r, j): c for r, terms in enumerate(rows) for j, c in terms.items()})
 
 
 def cyclically_isolated(diagram) -> bool:
@@ -361,7 +372,7 @@ def unquotiented_relation_matrix(n: int, field: Field, rels=None) -> SparseMatri
     if rels is None:
         rels = literal_relations(n)
     entries = {(r, i): c for r, terms in enumerate(rels) for i, c in terms.items()}
-    return SparseMatrix(len(rels), len(enumerate_diagrams(n)), field, entries)
+    return from_entries(len(rels), len(enumerate_diagrams(n)), field, entries)
 
 
 def dense_rows(m: SparseMatrix):
@@ -404,7 +415,7 @@ def face_sum_d1(l: int, k: int, field: Field) -> SparseMatrix:
         for m, coeff in img.items():
             if m in tgt:
                 entries[(tgt[m], c)] = coeff
-    return SparseMatrix(len(tgt), len(src), field, entries)
+    return from_entries(len(tgt), len(src), field, entries)
 
 
 def face_sum(l: int, mono: tuple) -> dict:
@@ -424,4 +435,4 @@ def face_monomial_d1(l: int, k: int, field: Field) -> SparseMatrix:
     each term looked up by its factor tuple in the target basis."""
     src, tgt = normalized_basis(l, k), {m: r for r, m in enumerate(normalized_basis(l - 1, k))}
     entries = {(tgt[m], c): v for c, mono in enumerate(src) for m, v in face_sum(l, mono).items()}
-    return SparseMatrix(len(tgt), len(src), field, entries)
+    return from_entries(len(tgt), len(src), field, entries)

@@ -5,6 +5,7 @@ import pytest
 from oracles import (
     cyclically_isolated,
     dense_rows,
+    from_entries,
     isolated,
     least_rotation,
     linear_four_term_relations,
@@ -355,7 +356,7 @@ def test_four_term_kills_constants():
 def test_dedup_invariance():
     base = relation_matrix(3, Q)
     stacked = {**base.entries, **{(r + base.rows, c): v for (r, c), v in base.entries.items()}}
-    doubled = SparseMatrix(2 * base.rows, base.cols, Q, stacked)
+    doubled = from_entries(2 * base.rows, base.cols, Q, stacked)
     assert base.cols - base.rank() == doubled.cols - doubled.rank()
 
 
@@ -413,7 +414,7 @@ def primitive_dim(n):
     column = {d: j for j, d in enumerate(kept)}
     vectors = slide_four_term_relations(n)
     entries = {(r, column[d]): c for r, terms in enumerate(vectors) for d, c in terms.items() if d in column}
-    return len(kept) - SparseMatrix(len(vectors), len(kept), Q, entries).rank()
+    return len(kept) - from_entries(len(vectors), len(kept), Q, entries).rank()
 
 
 def polynomial_dims(p, top):

@@ -1,4 +1,5 @@
 import csv
+import gc
 import importlib.util
 import io
 import json
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
@@ -454,11 +456,13 @@ def test_fingerprints_do_not_depend_on_the_sha256_module():
     assert run_python(code) == ["True", source_digest(), default]
 
 
-def run_module(cache_dir, *argv):
-    """``python -m spectral_knots`` on argv in a fresh interpreter, bytes out."""
+def run_module(cache_dir, *argv, flags=()):
+    """``python -m spectral_knots`` on argv in a fresh interpreter started with
+    ``flags``, bytes out."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src, SPECTRAL_KNOTS_CACHE=str(cache_dir))
-    return subprocess.run([sys.executable, "-m", "spectral_knots", *argv], env=env, capture_output=True, timeout=120)
+    return subprocess.run([sys.executable, *flags, "-m", "spectral_knots", *argv], env=env, capture_output=True,
+                          timeout=120)
 
 
 def test_module_entry_point_prints_the_bytes_main_prints(isolated_cache, capsys):
@@ -472,6 +476,57 @@ def test_module_entry_point_prints_the_bytes_main_prints(isolated_cache, capsys)
 def test_module_entry_point_exits_with_the_usage_status(isolated_cache):
     proc = run_module(isolated_cache / "module-cache", "--command", "chord", "--n", "0")
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_USAGE, b"", b"error: n must be >= 1\n")
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
+
+
+def test_a_dev_mode_launch_that_errors_on_warnings_prints_the_golden_bytes(isolated_cache):
+    # the heap is frozen at exit, after the output and the cache file are
+    # written; the launch still exits 0 with nothing on stderr, so neither the
+    # run nor its teardown raises a warning, a ResourceWarning included
+    args = "--command crosscheck --n 3 --field fp:2 --format json"
+    golden = next(case for case in GOLDEN if case["args"] == args)
+    proc = run_module(isolated_cache / "module-cache", *args.split(), flags=("-X", "dev", "-W", "error"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (golden["exit"], golden["stdout"].encode(), b"")
+
+
+def test_a_launch_freezes_its_heap_at_exit(isolated_cache):
+    # a handler registered before main runs after main's, and sees the heap
+    # frozen; while main runs, nothing is
+    code = (
+        "import atexit, contextlib, gc, io\n"
+        "from spectral_knots import cli\n"
+        "atexit.register(lambda: print('frozen at exit', gc.get_freeze_count() > 0))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['--command', 'crosscheck', '--n', '2']) for _ in range(2)]\n"
+        "print(codes, gc.get_freeze_count())\n"
+    )
+    lines = run_python(code, SPECTRAL_KNOTS_CACHE=str(isolated_cache / "launch-cache"))
+    assert lines == [f"{[EXIT_OK, EXIT_OK]} 0", "frozen at exit True"]
+
+
+class FakeAtexit:
+    """The ``register`` and ``unregister`` of ``atexit``, on a list."""
+
+    def __init__(self):
+        self.funcs = []
+
+    def register(self, func):
+        self.funcs.append(func)
+
+    def unregister(self, func):
+        self.funcs = [f for f in self.funcs if f != func]
+
+
+def test_main_in_process_registers_the_freeze_once_and_freezes_nothing(capsys, monkeypatch):
+    # an in-process caller is frozen only when its own process exits
+    stack = FakeAtexit()
+    monkeypatch.setattr(cli, "atexit", stack)
+    for _ in range(2):
+        assert invoke(capsys, "--command", "crosscheck", "--n", "2")[0] == EXIT_OK
+    assert stack.funcs == [gc.freeze]
+    assert gc.get_freeze_count() == 0
 
 
 @pytest.mark.parametrize(

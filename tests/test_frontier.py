@@ -38,6 +38,9 @@ def test_degree_six_over_q_is_bar_natans_nine():
     # the rational path at the frontier, where coefficient growth would show
     m = _kept_face_matrix(12, Q)
     assert dim_A(6, Q) == e2_diagonal(6, Q) == m.cols - m.rank() == 9
+    # the shape that test_f2_lines_run_along_the_shorter_side_within_the_budget
+    # pins without building it
+    assert (m.rows, m.cols) == (13585, 3655)
 
 
 @pytest.mark.slow
@@ -101,18 +104,18 @@ def test_degree_seven_column_basis_fits_in_memory(tmp_path):
     assert peak_kib < 220 * 1024
 
 
-@pytest.mark.slow
 def test_degree_six_crosscheck_over_f2_fits_in_memory(tmp_path):
-    # a cold crosscheck up to n = 6; the F_2 ranks hold no dict rows and no
-    # presolve state, and the Sinha side enumerates and ranks only its kept
-    # sources (peak about 52 MB)
+    # a cold crosscheck up to n = 6 (about 0.2 s); the F_2 ranks hold no dict
+    # rows and no presolve state, the Sinha side enumerates and ranks only its
+    # kept sources, along its 3655 columns, and every matrix is held as its
+    # columns (peak about 25 MB)
     out, peak_kib = _run_for_peak(
         "from spectral_knots.cli import main\nmain(['--command', 'crosscheck', '--n', '6', '--field', 'fp:2'])\n",
         tmp_path)
     rows = json.loads(out)["crosscheck"]
     assert all(r["equal"] for r in rows)
     assert rows[-1] == {"n_diag": 6, "dim_A": 9, "e2_diag": 9, "equal": True}
-    assert peak_kib < 65 * 1024
+    assert peak_kib < 40 * 1024
 
 
 @pytest.mark.slow
@@ -130,13 +133,13 @@ def test_degree_seven_over_f2_is_bar_natans_fourteen_in_bounded_memory(tmp_path)
 
 @pytest.mark.slow
 def test_degree_seven_over_f3_is_bar_natans_fourteen_in_bounded_memory(tmp_path):
-    # the same over F_3, a cross-field check of the value (about 10 s, peak
-    # about 150 MB)
+    # the same over F_3, a cross-field check of the value, eliminated along
+    # the 3218 columns (about 3.5 s, peak about 112 MB)
     out, peak_kib = _run_for_peak(
         "from spectral_knots.chords import dim_A\nfrom spectral_knots.linalg import Field\n"
         "print(dim_A(7, Field(3)))\n", tmp_path)
     assert int(out) == 14
-    assert peak_kib < 250 * 1024
+    assert peak_kib < 160 * 1024
 
 
 @pytest.mark.slow
@@ -144,7 +147,7 @@ def test_degree_seven_sinha_diagonal_over_f2_is_fourteen_in_bounded_memory(tmp_p
     # e2_diagonal(7) = 14 = dim_A(7) (Bar-Natan, as above), ranked over the
     # 47844 of 135135 matchings with no factor (i, i+1), enumerated alone;
     # neither the (14, 7) nor the (13, 7) column is, and the faces are walked
-    # as byte words, off the rewrite memo (peak about 336 MB)
+    # as byte words, off the rewrite memo (peak about 248 MB)
     out, peak_kib = _run_for_peak(
         "from spectral_knots.sinha import e2_diagonal\nfrom spectral_knots.linalg import Field\n"
         "print(e2_diagonal(7, Field(2)))\n", tmp_path)
@@ -168,7 +171,8 @@ E2_TEN_FIVE = {
 def test_e2_page_ten_five_is_unchanged_in_bounded_memory(field, tmp_path):
     # a cold e2 up to k = 5: every column complex is ranked with clearing,
     # the faces are walked on strand words, and the d∘d = 0 checks keep no
-    # sum that vanishes mod p (peak about 42 MB over Q and over F_2)
+    # sum that vanishes mod p, and the matrices are held as columns (peak
+    # about 34 MB over Q and 30 MB over F_2)
     out, peak_kib = _run_for_peak(
         "from spectral_knots.cli import main\n"
         f"main(['--command', 'e2', '--n', '10', '--k-max', '5', '--field', '{field}'])\n", tmp_path)
@@ -176,4 +180,4 @@ def test_e2_page_ten_five_is_unchanged_in_bounded_memory(field, tmp_path):
     page = json.loads(out)["pages"]["sinha_e2"]
     assert {(e["col"], e["row"]): e["dim"] for e in page if e["dim"]} == nonzero
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert peak_kib <= 50 * 1024
+    assert peak_kib <= 40 * 1024

@@ -7,14 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_product, dense_rows, linear_relation_matrix, naive_rank, unquotiented_relation_matrix
+from oracles import (
+    dense_product,
+    dense_rows,
+    from_entries,
+    linear_relation_matrix,
+    naive_rank,
+    unquotiented_relation_matrix,
+)
+from spectral_knots import linalg
 from spectral_knots.chords import relation_matrix
 from spectral_knots.linalg import (
     ComplexError,
     Field,
     ShapeError,
     SparseMatrix,
+    _F2_BASIS_BUDGET,
     _eliminate,
+    _f2_columns_as_lines,
     _is_prime,
     _presolve,
     _rank_f2,
@@ -29,7 +39,7 @@ F2 = Field(2)
 def mat(dense, field=Q):
     """Matrix of a list of dense row lists."""
     entries = {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v}
-    return SparseMatrix(len(dense), len(dense[0]) if dense else 0, field, entries)
+    return from_entries(len(dense), len(dense[0]) if dense else 0, field, entries)
 
 
 def test_prime_field_requires_prime():
@@ -86,9 +96,9 @@ FLOAT_ROWS = [
 
 def test_coerce_refuses_floats_over_prime_fields():
     with pytest.raises(TypeError):
-        SparseMatrix(1, 1, F2, {(0, 0): 0.5}).rank()  # ranked 1; Fraction(1, 2) has no inverse
+        SparseMatrix(1, 1, F2, [{0: 0.5}]).rank()  # ranked 1; Fraction(1, 2) has no inverse
     with pytest.raises(ZeroDivisionError):
-        SparseMatrix(1, 1, F2, {(0, 0): Fraction(1, 2)})
+        SparseMatrix(1, 1, F2, [{0: Fraction(1, 2)}])
     with pytest.raises(TypeError):
         mat(FLOAT_ROWS, Field(P61))
     int_rows = [[int(x) for x in row] for row in FLOAT_ROWS]
@@ -181,13 +191,50 @@ def test_compose_drops_sums_that_vanish_mod_p(p, monkeypatch):
     seen = []
     real = SparseMatrix.__init__
 
-    def spy(self, rows, cols, field, entries=None):
-        seen.append(dict(entries or {}))
-        real(self, rows, cols, field, entries)
+    def spy(self, rows, cols, field, columns=None):
+        seen.append(columns)
+        real(self, rows, cols, field, columns)
 
     monkeypatch.setattr(SparseMatrix, "__init__", spy)
     assert a.compose(b).is_zero()
-    assert seen == [{}]
+    assert seen == [[{}, {}]]
+
+
+@st.composite
+def sparse_entries(draw):
+    """(rows, cols, field, {(row, col): scalar}), zeros and scalars that
+    vanish in the field included; every denominator is a unit in each field."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    field = draw(st.sampled_from([Q, F2, Field(3)]))
+    if not rows or not cols:
+        return rows, cols, field, {}
+    key = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    scalar = st.one_of(st.integers(-7, 7),
+                       st.fractions(max_denominator=7).filter(lambda x: math.gcd(x.denominator, 6) == 1))
+    return rows, cols, field, draw(st.dictionaries(key, scalar, max_size=rows * cols))
+
+
+@given(sparse_entries())
+def test_entries_round_trip_through_the_constructor(case):
+    rows, cols, field, entries = case
+    m = from_entries(rows, cols, field, entries)
+    want = {rc: field.coerce(v) for rc, v in entries.items()}
+    assert m.entries == {rc: v for rc, v in want.items() if v}
+    again = from_entries(rows, cols, field, m.entries)
+    assert again == m and again.entries == m.entries
+    assert m.columns == [{r: v for (r, c), v in m.entries.items() if c == j} for j in range(cols)]
+    with pytest.raises(TypeError):  # the view is read-only
+        m.entries[(0, 0)] = 1
+
+
+def test_constructor_checks_row_indices_and_column_count():
+    for bad_row in (2, -1):
+        with pytest.raises(ShapeError, match="outside 2x2"):
+            SparseMatrix(2, 2, Q, [{}, {bad_row: 1}])
+    for columns in ([{}], [{}, {}, {}]):
+        with pytest.raises(ShapeError, match="columns given"):
+            SparseMatrix(2, 2, Q, columns)
+    assert SparseMatrix(2, 2, Q, [{1: 3}, {0: 0}]).columns == [{1: 3}, {}]
 
 
 def test_compose_shape_error():
@@ -358,6 +405,15 @@ def f2_matrix(draw):
     return dense
 
 
+def f2_lines(m):
+    """(column lines, row lines) of a matrix: {index: positions} for
+    ``_rank_f2``, empty lines left out."""
+    rows = {}
+    for r, c in sorted(m.entries):
+        rows.setdefault(r, []).append(c)
+    return {c: col for c, col in enumerate(m.columns) if col}, rows
+
+
 @settings(max_examples=60, deadline=None)
 @given(f2_matrix())
 def test_f2_rank_matches_dense_oracle(dense):
@@ -365,7 +421,8 @@ def test_f2_rank_matches_dense_oracle(dense):
     rank = naive_rank(dense, 2)
     assert m.rank() == rank
     # packed over the columns or over the rows, the rank is the same
-    assert _rank_f2(m.entries, False) == _rank_f2(m.entries, True) == rank
+    columns, rows = f2_lines(m)
+    assert len(_rank_f2(columns, m.rows)) == len(_rank_f2(rows, m.cols)) == rank
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -373,10 +430,22 @@ def test_f2_rank_matches_dict_sweep_on_real_matrices(n):
     # the unquotiented relation matrix keeps the one-term rows of weight 1
     for m in (d1_matrix(2 * n, n, F2), relation_matrix(n, F2), linear_relation_matrix(n, F2),
               unquotiented_relation_matrix(n, F2)):
-        rows = {}
-        for (r, c), v in m.entries.items():
-            rows.setdefault(r, {})[c] = v
-        assert m.rank() == _rank_f2(m.entries, m.rows < m.cols) == _eliminate(rows, 2), m
+        columns, rows = f2_lines(m)
+        swept = _eliminate({r: dict.fromkeys(line, 1) for r, line in rows.items()}, 2)
+        assert m.rank() == len(_rank_f2(columns, m.rows)) == len(_rank_f2(rows, m.cols)) == swept, m
+
+
+def test_f2_lines_run_along_the_shorter_side_within_the_budget():
+    # the Sinha diagonal matrices, 13585 x 3655 at n = 6 and 210650 x 47844
+    # at n = 7, are not built: along the columns their bases may take 6.2 MB
+    # and 1.26 GB, so n = 6 packs its 3655 columns and n = 7 its 210650 rows
+    assert 13585 * 3655 <= 8 * _F2_BASIS_BUDGET < 210650 * 47844
+    assert _f2_columns_as_lines(13585, 3655)
+    assert not _f2_columns_as_lines(210650, 47844)
+    # the shorter side, whichever it is, within the budget; the longer past it
+    assert not _f2_columns_as_lines(3655, 13585)
+    assert _f2_columns_as_lines(47844, 210650)
+    assert _f2_columns_as_lines(5, 5) and _f2_columns_as_lines(3, 0)
 
 
 def presolve(dense, p=None):
@@ -481,8 +550,8 @@ def _apply_middle_basis_change(d_in, d_out, ops):
             if v:
                 ent_out[(row, i)] = ent_out.get((row, i), Fraction(0)) - c * v
     return (
-        SparseMatrix(d_in.rows, d_in.cols, d_in.field, ent_in),
-        SparseMatrix(d_out.rows, d_out.cols, d_out.field, ent_out),
+        from_entries(d_in.rows, d_in.cols, d_in.field, ent_in),
+        from_entries(d_out.rows, d_out.cols, d_out.field, ent_out),
     )
 
 
@@ -511,6 +580,8 @@ def test_homology_invariant_under_basis_change(ops):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(small_matrix, sparse_matrix), st.sampled_from([None, 2, 3, 5]), st.data())
 def test_rank_reports_rows_of_a_full_rank_minor(rows, p, data):
+    # over Q and odd p the kept columns are the eliminator's lines, and the
+    # pivots its pivot positions: matrix rows, not the lines it pops
     skip = data.draw(st.sets(st.integers(0, len(rows[0]) - 1)))
     kept = [[v for c, v in enumerate(row) if c not in skip] for row in rows]
     pivots = set()
@@ -520,16 +591,20 @@ def test_rank_reports_rows_of_a_full_rank_minor(rows, p, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(f2_matrix())
-def test_f2_pivots_along_either_side_are_rows_of_a_full_rank_minor(dense):
-    # lines entering the XOR basis when they are rows, leading bits when
-    # they are columns
-    entries = mat(dense, F2).entries
-    for transpose in (False, True):
+@given(f2_matrix(), st.data())
+def test_f2_pivots_along_either_side_are_rows_of_a_full_rank_minor(dense, data):
+    # leading positions of the basis when the lines are columns, the lines
+    # entering it when they are rows; ``rank`` takes either side
+    m = mat(dense, F2)
+    skip = data.draw(st.sets(st.integers(0, m.cols - 1)))
+    kept = [[v for c, v in enumerate(row) if c not in skip] for row in dense]
+    rank = naive_rank(kept, 2)
+    for along_columns in (False, True):
         pivots = set()
-        rank = _rank_f2(entries, transpose, pivots)
-        assert len(pivots) == rank
-        assert naive_rank([dense[i] for i in sorted(pivots)], 2) == rank
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_f2_columns_as_lines", lambda rows, cols: along_columns)
+            assert m.rank(skip, pivots) == len(pivots) == rank
+        assert naive_rank([kept[i] for i in sorted(pivots)], 2) == rank
 
 
 def test_homology_checks_every_composite_before_any_rank(monkeypatch):
@@ -618,7 +693,7 @@ def test_cleared_homology_of_random_complexes(case):
     dims, dense, ranks = case
     for p, rank in ranks.items():
         f = Field(p)
-        ds = [SparseMatrix(dims[i], dims[i + 1], f,
+        ds = [from_entries(dims[i], dims[i + 1], f,
                            {(r, c): v for r, row in enumerate(d) for c, v in enumerate(row) if v})
               for i, d in enumerate(dense)]
         r = [0] + rank + [0]

@@ -21,6 +21,10 @@ PKG = Path(cli.__file__).resolve().parent
 
 # value semantics: equality, hashing and display for library callers
 EXEMPT_NAMES = {"__eq__", "__hash__", "__repr__"}
+# the {(row, col): value} view of a matrix held as columns: no command reads
+# it, only bench/spans.py and the tests do, until the benchmark reads spans
+# the library records itself
+EXEMPT_QUALNAMES = {"SparseMatrix.entries"}
 
 COMMANDS = [
     (0, ["--command", command, *sizes, "--field", field, "--format", fmt])
@@ -90,6 +94,7 @@ def test_every_def_is_entered_by_a_command(tmp_path, monkeypatch):
     assert codes == [code for code, _ in COMMANDS]
     entered = {(str(Path(c.co_filename).resolve()), c.co_firstlineno, c.co_name) for c in entered}
     unreached = sorted(
-        qualname for key, qualname in _defs().items() if key not in entered and key[2] not in EXEMPT_NAMES
+        qualname for key, qualname in _defs().items()
+        if key not in entered and key[2] not in EXEMPT_NAMES and qualname not in EXEMPT_QUALNAMES
     )
     assert unreached == []

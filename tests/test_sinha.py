@@ -13,6 +13,7 @@ from oracles import (
     face_monomial_d1,
     face_sum,
     face_sum_d1,
+    from_entries,
     inclusion_exclusion_dim,
     linear_relation_matrix,
 )
@@ -295,7 +296,7 @@ def test_d1_is_the_face_monomial_matrix():
     for l, k in SMALL_D1:
         want = face_monomial_d1(l, k, Q)
         for field in (Q, F2, Field(3)):
-            assert d1_matrix(l, k, field) == SparseMatrix(want.rows, want.cols, field, want.entries), (l, k, field)
+            assert d1_matrix(l, k, field) == SparseMatrix(want.rows, want.cols, field, want.columns), (l, k, field)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +379,7 @@ def test_kept_sources_are_the_one_term_columns(n):
         m = sinha._kept_face_matrix(2 * n, field)
         assert m.cols == linear_relation_matrix(n, field).cols == len(kept)
         entries = {(row[t], j): c for j, s in enumerate(sums) for t, c in s.items()}
-        assert m == SparseMatrix(len(row), len(kept), field, entries)
+        assert m == from_entries(len(row), len(kept), field, entries)
         if (n, field) != (6, Q):  # ranked in tests/test_frontier.py: it takes seconds
             assert e2_diagonal(n, field) == m.cols - m.rank()
 
@@ -413,7 +414,7 @@ def test_twisted_sinha_rows_are_chord_rows(n, field):
     match."""
     sign = [(-1) ** crossings(m) for m in sinha._kept_matchings(2 * n)]
     m = sinha._kept_face_matrix(2 * n, field)
-    twisted = SparseMatrix(m.rows, m.cols, field, {(r, c): v * sign[c] for (r, c), v in m.entries.items()})
+    twisted = SparseMatrix(m.rows, m.cols, field, [{r: v * sign[c] for r, v in col.items()} for c, col in enumerate(m.columns)])
     sinha_rows = normalized_rows(twisted)
     assert sinha_rows <= normalized_rows(linear_relation_matrix(n, field))
     assert len(sinha_rows) == [0, 0, 5, 67, 844][n - 1]
