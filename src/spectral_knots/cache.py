@@ -7,8 +7,6 @@ file is treated as a miss; callers recompute and overwrite, never serve
 wrong data.  An unwritable cache directory costs a warning, not the run.
 """
 
-from __future__ import annotations
-
 import json
 import os
 import sys

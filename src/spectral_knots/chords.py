@@ -49,8 +49,6 @@ closes across (1, 2n) either: only the slides at slots 0, 1 and 2n-1,
 with the moving chord beside its anchor, are killed.
 """
 
-from __future__ import annotations
-
 import functools
 from collections import namedtuple
 

@@ -1,24 +1,24 @@
-"""Command-line surface and cross-validation driver.
+"""The spectral-knots command line: exact page tables, chord-diagram dimensions and their crosscheck.
 
-Commands:
+usage: spectral-knots --command COMMAND --n N [--k-max K] [--field FIELD] [--format FORMAT] [--cache-dir DIR]
 
-* ``e2``         second-page table of the truncated sequence plus its
-                 degree-shifted view
-* ``chord``      chord-diagram quotient dimensions dim_A(1..n)
-* ``crosscheck`` per-degree equality of dim_A(n_diag) and the page entry
-                 at (-2*n_diag, 2*n_diag); the primary regression tripwire
-* ``kancheck``   brute-force comparison of the expanded and plain
-                 normalized complexes (n <= 3)
+  --command    e2          second page of the truncated sequence and its degree-shifted view
+               chord       chord-diagram quotient dimensions dim_A(1..n)
+               crosscheck  dim_A(n_diag) against the page entry at (-2*n_diag, 2*n_diag)
+               kancheck    the expanded against the plain normalized complex (n <= 3)
+  --n          truncation / maximal degree
+  --k-max      maximal complexity, rows up to 2*k-max (e2 and kancheck need it)
+  --field      coefficient field: q (default) or fp:<prime>
+  --format     json (default), csv or markdown
+  --cache-dir  result cache directory; SPECTRAL_KNOTS_CACHE overrides it
+  -h, --help   print this text and exit 0
 
-Exit codes: 0 success, 1 crosscheck or kancheck mismatch, 2 usage error, 3 capacity
-exceeded.  Results are cached under ``--cache-dir`` (overridden by the
-SPECTRAL_KNOTS_CACHE environment variable), keyed by a fingerprint of the
-configuration plus the bytes of the package's source files.
+Each option is given as --opt value or --opt=value; when one repeats, its last value
+wins, and no prefix of an option name is accepted.  Exit codes: 0 success, 1 crosscheck
+or kancheck mismatch, 2 usage error (one "error: ..." line on stderr, nothing on
+stdout), 3 capacity exceeded.
 """
 
-from __future__ import annotations
-
-import argparse
 import atexit
 import gc
 import json
@@ -201,19 +201,33 @@ def format_payload(payload: dict, fmt: str, command: str) -> str:
     return "".join("| " + " | ".join(row) + " |\n" for row in rows)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spectral-knots",
-        description="Exact page tables for the truncated knot spectral sequence "
-        "and chord-diagram space dimensions.",
-    )
-    parser.add_argument("--command", required=True, choices=_COMMANDS)
-    parser.add_argument("--n", type=int, required=True, help="truncation / maximal degree")
-    parser.add_argument("--k-max", type=int, default=None, help="maximal complexity (rows up to 2*k-max)")
-    parser.add_argument("--field", default="q", help='coefficient field: "q" or "fp:<prime>"')
-    parser.add_argument("--format", default="json", choices=FORMATS, dest="output_format")
-    parser.add_argument("--cache-dir", default=None, help="cache directory (env SPECTRAL_KNOTS_CACHE overrides)")
-    return parser
+# option -> (RunConfig keyword, conversion of its value)
+_OPTIONS = {"--command": ("command", str), "--n": ("n", int), "--k-max": ("k_max", int),
+            "--field": ("field_spec", str), "--format": ("output_format", str), "--cache-dir": ("cache_dir", str)}
+
+
+def _parse_args(argv: list) -> dict | None:
+    """RunConfig's keywords from ``--opt value`` and ``--opt=value`` tokens, or None on -h or --help;
+    ValueError on any other token, a missing value, a count that is no int, or no --command or --n."""
+    args = {"k_max": None, "field_spec": "q"}
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        opt, eq, value = token.partition("=")
+        if opt not in _OPTIONS:
+            raise ValueError(f"unrecognized argument {token[:24]!r}")
+        if not eq and (value := next(tokens, None)) is None:
+            raise ValueError(f"{opt} expects a value")
+        key, convert = _OPTIONS[opt]
+        try:
+            args[key] = convert(value)
+        except ValueError:
+            raise ValueError(f"{opt} expects an integer, not {value[:24]!r}") from None
+    for opt in ("--command", "--n"):
+        if _OPTIONS[opt][0] not in args:
+            raise ValueError(f"{opt} is required")
+    return args
 
 
 def main(argv=None) -> int:
@@ -222,16 +236,12 @@ def main(argv=None) -> int:
     # exit moves every object out of their reach (registered once per process)
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
-    args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(
-            command=args.command,
-            n=args.n,
-            k_max=args.k_max,
-            field_spec=args.field,
-            output_format=args.output_format,
-            cache_dir=args.cache_dir,
-        )
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(__doc__ or "")  # python -OO strips the docstring
+            return EXIT_OK
+        cfg = RunConfig(**args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

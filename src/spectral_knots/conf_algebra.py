@@ -21,8 +21,6 @@ is computed over Z; the matrix that receives them reduces them into its
 field.
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import lru_cache
 

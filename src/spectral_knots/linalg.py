@@ -42,8 +42,6 @@ of d_i that are pivot rows of d_{i+1} carry no rank of d_i and are skipped
 every composite d_i * d_{i+1} is checked to vanish before the first rank.
 """
 
-from __future__ import annotations
-
 import math
 
 

@@ -27,8 +27,6 @@ closed form on flat byte words.  Face map conventions
   of d1 must touch strands 1 and l).
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import lru_cache
 from math import comb

@@ -111,10 +111,47 @@ def test_k_max_may_be_omitted_only_where_unread():
 
 
 def test_unknown_command_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--command", "nope", "--n", "1"])
-    assert exc.value.code == EXIT_USAGE
-    capsys.readouterr()
+    code, out, err = invoke(capsys, "--command", "nope", "--n", "1")
+    assert (code, out, err) == (EXIT_USAGE, "", "error: unknown command 'nope'\n")
+
+
+def test_equals_form_is_the_spaced_form(capsys):
+    # the second launch is served from the first one's cache file
+    fp = RunConfig(command="crosscheck", n=3, k_max=None, field_spec="fp:2").fingerprint()
+    code, out, _ = invoke(capsys, "--command", "crosscheck", "--n", "3", "--field", "fp:2")
+    assert invoke(capsys, "--command=crosscheck", "--n=3", "--field=fp:2") == (code, out, f"cache hit: {fp[:12]}\n")
+
+
+def test_the_last_of_a_repeated_option_wins(capsys):
+    argv = ["--command", "e2", "--n", "9", "--command", "chord", "--n=3", "--format", "json", "--format=csv"]
+    assert invoke(capsys, *argv)[:2] == (EXIT_OK, "n_diag,dim\n1,0\n2,1\n3,1\n")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_usage_and_exits_zero(flag, capsys, isolated_cache):
+    code, out, err = invoke(capsys, "--command", "chord", flag, "--n", "x")
+    assert (code, out, err) == (EXIT_OK, cli.__doc__, "")
+    assert "usage: spectral-knots --command COMMAND --n N" in out
+    proc = run_module(isolated_cache / "module-cache", flag)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (EXIT_OK, cli.__doc__, b"")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--command", "chord", "--n", "2", "--bogus", "1"], "unrecognized argument '--bogus'"),
+        (["--comm", "e2", "--n", "2", "--k-max", "1"], "unrecognized argument '--comm'"),
+        (["--command", "chord", "stray", "--n", "2"], "unrecognized argument 'stray'"),
+        (["--command", "chord", "--n"], "--n expects a value"),
+        (["--command", "chord", "--n", "x"], "--n expects an integer, not 'x'"),
+        (["--command", "e2", "--n", "2", "--k-max=1.5"], "--k-max expects an integer, not '1.5'"),
+        (["--n", "2"], "--command is required"),
+        (["--command", "chord"], "--n is required"),
+    ],
+    ids=["unknown", "prefix", "positional", "no-value", "bad-n", "bad-k-max", "no-command", "no-n"],
+)
+def test_every_parser_error_is_one_usage_line(argv, message, capsys):
+    assert invoke(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 def test_repeat_invocation_hits_cache_and_matches_bytes(capsys):
@@ -398,7 +435,7 @@ def test_format_payload_rejects_unknown():
 
 
 # modules no command needs at run time; each pulls in more (inspect, ast, decimal, ...)
-UNNEEDED_AT_LAUNCH = ("dataclasses", "inspect", "datetime", "csv", "fractions", "decimal")
+UNNEEDED_AT_LAUNCH = ("dataclasses", "inspect", "datetime", "csv", "fractions", "decimal", "argparse")
 
 
 def test_cli_import_loads_no_unneeded_module():
@@ -425,19 +462,29 @@ def run_python(code, **env):
     return proc.stdout.splitlines()
 
 
-@pytest.mark.skipif(importlib.util.find_spec("_sha256") is None, reason="no built-in _sha256 (Python 3.12+)")
-def test_a_launch_loads_no_openssl(isolated_cache):
-    # hashlib's OpenSSL backend costs about 3.5 MB of peak RSS per launch; a
-    # site that preloads it is not the launch's doing, hence the set difference
+def launch_loads(cache_dir, modules):
+    """Which of ``modules`` a full ``cli.main`` run loads in a fresh interpreter,
+    apart from those ``site`` already loaded, which are not the launch's doing."""
     code = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
         "from spectral_knots import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(['--command', 'e2', '--n', '3', '--k-max', '2'])\n"
-        "print(code, sorted({'_hashlib', 'hashlib'} & (set(sys.modules) - before)))\n"
+        f"print(code, sorted({set(modules)!r} & (set(sys.modules) - before)))\n"
     )
-    assert run_python(code, SPECTRAL_KNOTS_CACHE=str(isolated_cache / "launch-cache")) == [f"{EXIT_OK} []"]
+    return run_python(code, SPECTRAL_KNOTS_CACHE=str(cache_dir / "launch-cache"))
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_sha256") is None, reason="no built-in _sha256 (Python 3.12+)")
+def test_a_launch_loads_no_openssl(isolated_cache):
+    # hashlib's OpenSSL backend costs about 3.5 MB of peak RSS per launch
+    assert launch_loads(isolated_cache, ("_hashlib", "hashlib")) == [f"{EXIT_OK} []"]
+
+
+def test_a_launch_loads_no_argument_parser(isolated_cache):
+    # argparse imports gettext, which imports locale: none is needed to read six options
+    assert launch_loads(isolated_cache, ("argparse", "gettext", "locale", "__future__")) == [f"{EXIT_OK} []"]
 
 
 def test_fingerprints_do_not_depend_on_the_sha256_module():
@@ -476,6 +523,8 @@ def test_module_entry_point_prints_the_bytes_main_prints(isolated_cache, capsys)
 def test_module_entry_point_exits_with_the_usage_status(isolated_cache):
     proc = run_module(isolated_cache / "module-cache", "--command", "chord", "--n", "0")
     assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_USAGE, b"", b"error: n must be >= 1\n")
+    proc = run_module(isolated_cache / "module-cache", "--bogus", "1")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_USAGE, b"", b"error: unrecognized argument '--bogus'\n")
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))

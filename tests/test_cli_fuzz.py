@@ -37,9 +37,6 @@ def test_cli_exits_with_a_documented_code(command, n, k_max, field, fmt):
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as cache, mock.patch.dict(os.environ, {"SPECTRAL_KNOTS_CACHE": cache}):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects the arguments
-                code = exc.code
+            code = main(argv)
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
