@@ -2,15 +2,16 @@
 configuration plus the package's source bytes.  A record is the four fields
 of a ``ResultRecord``, written as ``json.dumps(record._asdict(), sort_keys=True)``.
 
-Writes are atomic (temp file + rename).  A corrupt or mismatched cache
-file is treated as a miss; callers recompute and overwrite, never serve
-wrong data.  An unwritable cache directory costs a warning, not the run.
+Writes are atomic (an exclusively created temp file, then a rename).  A
+corrupt or mismatched cache file is treated as a miss; callers recompute
+and overwrite, never serve wrong data.  An unwritable cache directory
+costs a warning, not the run.
 """
 
+import itertools
 import json
 import os
 import sys
-import tempfile
 from collections import namedtuple
 from functools import lru_cache
 
@@ -20,6 +21,7 @@ except ImportError:  # renamed _sha2 in Python 3.12; the digest is the same
     from hashlib import sha256
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
+_STORES = itertools.count()  # numbers this process's temp files
 
 
 def fingerprint(config: dict) -> str:
@@ -79,11 +81,18 @@ class ResultCache:
         return record
 
     def store(self, record: ResultRecord) -> None:
-        """Write ``record``, creating the directory; warn if that fails."""
+        """Write ``record``, creating the directory; warn if that fails.
+
+        The temp file is named by the fingerprint, the process id and a
+        counter, and created exclusively; a leftover file of that name is an
+        error like any other, and is left alone.
+        """
+        name = f"{self.path(record.fingerprint)}.{os.getpid()}.{next(_STORES)}.tmp"
         tmp = None
         try:
             os.makedirs(self.cache_dir, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+            fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+            tmp = name
             with os.fdopen(fd, "w", encoding="utf-8") as f:  # dumps runs the C encoder, dump does not
                 f.write(json.dumps(record._asdict(), sort_keys=True))
             os.replace(tmp, self.path(record.fingerprint))

@@ -4,7 +4,9 @@ Scalars are plain Python values over the rationals, `int` when integral
 and `fractions.Fraction` otherwise, and `int` residues in [0, p) over a
 prime field F_p, p < 2**64.  A matrix carries the `Field` that interprets
 it, and its constructor is the only place where a scalar is reduced into
-it (`Field.coerce`); in between, scalars meet only plain `+`, `-` and `*`.
+it: a column of ints is kept as it is over Q and taken mod p inline over
+F_p, and the scalars of any other column go through `Field.coerce`; in
+between, scalars meet only plain `+`, `-` and `*`.
 
 A matrix is held as its columns, one {row: nonzero} dict each, the lines
 its builders make (compressed-column storage: T. A. Davis, Direct Methods
@@ -93,6 +95,10 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# the scalar types of a line that needs no ``Field.coerce``
+_INT = frozenset((int,))
+
+
 class Field:
     """The rationals (p is None) or the prime field F_p, p < 2**64."""
 
@@ -159,7 +165,9 @@ class SparseMatrix:
     """Sparse matrix over an exact field, held as its columns.
 
     ``columns`` is a list of ``cols`` dicts; column c maps a row index to a
-    nonzero scalar of ``field``.  All operations return new values.
+    nonzero scalar of ``field``.  The constructor copies the columns it is
+    given, reduces their scalars into ``field`` and drops the zeros.  All
+    operations return new values.
     """
 
     __slots__ = ("rows", "cols", "field", "columns", "_entries")
@@ -172,12 +180,16 @@ class SparseMatrix:
         self.rows = rows
         self.cols = cols
         self.field = field
+        p = field.p
         clean = []
         for c, col in enumerate(columns):
             if col and not (min(col) >= 0 and max(col) < rows):
                 r = min(col) if min(col) < 0 else max(col)
                 raise ShapeError(f"entry ({r},{c}) outside {rows}x{cols}")
-            col = {r: field.coerce(v) for r, v in col.items()}
+            if set(map(type, col.values())) <= _INT:
+                col = dict(col) if p is None else {r: v % p for r, v in col.items()}
+            else:
+                col = {r: field.coerce(v) for r, v in col.items()}
             if not all(col.values()):
                 col = {r: v for r, v in col.items() if v}
             clean.append(col)
@@ -342,6 +354,8 @@ def _eliminate(rows, p, pivots=None) -> int:
     """
     if p is None:
         for row in rows.values():  # clear denominators rowwise (rank-invariant)
+            if set(map(type, row.values())) <= _INT:  # a row of ints has none
+                continue
             den = math.lcm(*(v.denominator for v in row.values()))
             for c, v in row.items():
                 row[c] = v.numerator * (den // v.denominator)

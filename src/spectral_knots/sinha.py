@@ -9,13 +9,14 @@ shift relabels it as the first page of the discriminant-side sequence.
 
 A monomial is its sorted factor tuple in the basis; a face map
 (``_face_monomial``) sends one to the rewrite memo's tuple of (factor
-tuple, int coefficient) pairs.  ``d1_matrix`` walks the faces on strand
-words instead, one byte per strand (``_word``), and writes each face down
-in closed form, one Arnold step at most; only a face whose rewrite takes
-a chain of two or more steps goes through the face map and the memo
-(``_face_words``).  The diagonal entry takes neither: its sources are
-perfect matchings, whose inner faces ``_face_columns`` writes down in
-closed form on flat byte words.  Face map conventions
+tuple, int coefficient) pairs, for the expanded complex of
+``kan_unit_check``.  ``d1_matrix`` walks the faces on strand words
+instead, one byte per strand (``_word``), and writes each face down in
+closed form, a chain of Arnold steps included, each term straight into
+its row (``_face_words``): no face of d1 goes through the face map or the
+memo.  Nor does the diagonal entry: its sources are perfect matchings,
+whose inner faces ``_face_columns`` writes down in closed form on flat
+byte words.  Face map conventions
 (validated by d1*d1 = 0 and by the chord-diagram cross-check, see tests):
 
 * inner face i (1 <= i <= l-1): relabel strands along the surjection
@@ -157,61 +158,98 @@ def _word(mono: tuple, l: int) -> bytes:
     return bytes(w)
 
 
-def _face_words(l: int, sources):
+def _face_words(l: int, sources, words, rows: dict):
     """Alternating inner face sums of normalized monomials on l strands, one
-    {strand word: nonzero int} per source in turn.
+    {row: int} per source in turn, each term looked up in ``rows`` ({strand
+    word on l - 1 strands: row}) as it is written; a sum that cancels stays
+    as a 0, which the matrix constructor drops.  ``words`` holds the strand
+    words of ``sources`` in the same order.
 
     Inner face i keeps the bytes of strands 1..i-1, merges those of i and
     i+1 into one, and relabels every later neighbour n as n - (n > i), one
     ``translate`` of the tail.  With n_i, n_j the smaller neighbours of i
     and i+1, the merged strand is a tangent class if n_j = i, and the face
     vanishes on a square: both tangent classes, or one of them with n_j = i,
-    or n_i = n_j.  A single neighbour carries over.  Two neighbours a < b
-    take one Arnold step, +(i to b, b to a) - (i to a, b to a), which
-    vanishes when a is already b's neighbour; only when b has another one
-    does the chain go on, through ``_face_monomial`` and the rewrite memo.
-    The outer faces vanish when strands 1 and l occur; a source missing
-    either raises ``ConsistencyError``.
+    or n_i = n_j.  A single neighbour carries over.  Two neighbours lo < hi
+    of a strand s take an Arnold step, +(s to hi) - (s to lo), and hi gains
+    the neighbour lo: every term vanishes if lo already is hi's neighbour,
+    and if hi has another one, hi now has two and the chain steps on to it.
+    The strands of a chain decrease and both terms of a step share what
+    follows, so a chain of T steps writes 2^T words; they are visited in
+    Gray-code order, one byte flipped and the sign turned per word.  No face
+    goes through the face map or the rewrite memo: the result is the normal
+    form, which does not depend on the order of rewriting.  The outer faces
+    vanish when strands 1 and l occur; a source missing either, or a term
+    missing from ``rows``, raises ``ConsistencyError``.
     """
     shrink = [bytes(range(min(2 * i + 2, 256))) + bytes(range(2 * i, 254)) for i in range(l)]
-    for mono in sources:
-        w = _word(mono, l)
+    for mono, w in zip(sources, words):
         # the factors are sorted, so strand 1 occurs iff the first factor starts at 1
         if not w[-1] or mono[0][0] != 1:
             raise ConsistencyError(f"normalized monomial {mono!r} misses strand 1 or {l}: an outer face is nonzero")
         acc = {}
-        for i in range(1, l):
-            x, y = w[i - 1], w[i]
-            ni, nj = x >> 1, y >> 1
-            sign = -1 if i % 2 else 1
-            if nj == i:
-                if (x | y) & 1:
+        try:
+            for i in range(1, l):
+                x, y = w[i - 1], w[i]
+                ni, nj = x >> 1, y >> 1
+                sign = -1 if i % 2 else 1
+                if nj == i:
+                    if (x | y) & 1:
+                        continue
+                    merged = x | 1
+                elif x & y & 1 or (ni and ni == nj):
                     continue
-                merged = x | 1
-            elif x & y & 1 or (ni and ni == nj):
-                continue
-            elif not (ni and nj):
-                merged = x | y
-            else:
-                a, b = (ni, nj) if ni < nj else (nj, ni)
-                z = w[b - 1]
-                if z >> 1 == a:
+                elif not (ni and nj):
+                    merged = x | y
+                else:
+                    # an Arnold chain: each step sets its + byte and keeps its xor to the - byte
+                    word = bytearray(w[:i] + w[i + 1:].translate(shrink[i]))
+                    lo, hi = (ni, nj) if ni < nj else (nj, ni)
+                    at, bit = i - 1, (x | y) & 1
+                    flips = []
+                    while True:
+                        word[at] = 2 * hi + bit
+                        flips.append((at, 2 * (hi ^ lo)))
+                        z = word[hi - 1]
+                        n = z >> 1
+                        if not n or n == lo:
+                            break
+                        at, bit = hi - 1, z & 1
+                        lo, hi = (lo, n) if lo < n else (n, lo)
+                    if n:
+                        continue
+                    word[hi - 1] = 2 * lo + (z & 1)
+                    for m in range(1 << len(flips)):
+                        if m:
+                            at, flip = flips[(m & -m).bit_length() - 1]
+                            word[at] ^= flip
+                            sign = -sign
+                        r = rows[bytes(word)]
+                        acc[r] = acc.get(r, 0) + sign
                     continue
-                if z >> 1:
-                    for m, c in _face_monomial(i, l, mono):
-                        key = _word(m, l - 1)
-                        acc[key] = acc.get(key, 0) + sign * c
-                    continue
-                t = (x | y) & 1
-                head = w[:b - 1] + _BYTES[2 * a + (z & 1)] + w[b:i - 1]
-                tail = w[i + 1:].translate(shrink[i])
-                plus, minus = head + _BYTES[2 * b + t] + tail, head + _BYTES[2 * a + t] + tail
-                acc[plus] = acc.get(plus, 0) + sign
-                acc[minus] = acc.get(minus, 0) - sign
-                continue
-            key = w[:i - 1] + _BYTES[merged] + w[i + 1:].translate(shrink[i])
-            acc[key] = acc.get(key, 0) + sign
-        yield {key: c for key, c in acc.items() if c}
+                r = rows[w[:i - 1] + _BYTES[merged] + w[i + 1:].translate(shrink[i])]
+                acc[r] = acc.get(r, 0) + sign
+        except KeyError as exc:
+            term = tuple(sorted([(x >> 1, v) for v, x in enumerate(exc.args[0], 1) if x > 1] +
+                                [(v, v) for v, x in enumerate(exc.args[0], 1) if x & 1]))
+            raise ConsistencyError(f"face image term {term!r} of {mono!r} is not a normalized monomial") from None
+        yield acc
+
+
+_last_words = [None, None, {}]  # the basis last put through _strand_words, its strand count, its words
+
+
+def _strand_words(basis: tuple, l: int) -> dict:
+    """{strand word: position} of a basis on l strands.
+
+    The entry of the last basis asked for is kept, and served only for that
+    very tuple object: ``column_homology`` builds each column's words once,
+    as the source of one d1 and the target of the next, and a replaced
+    ``normalized_basis`` is never served stale words.
+    """
+    if _last_words[0] is not basis or _last_words[1] != l:
+        _last_words[:] = basis, l, {_word(m, l): r for r, m in enumerate(basis)}
+    return _last_words[2]
 
 
 def d1_matrix(l: int, k: int, f: Field) -> SparseMatrix:
@@ -219,7 +257,8 @@ def d1_matrix(l: int, k: int, f: Field) -> SparseMatrix:
 
     Bases are ``normalized_basis(l, k)`` (columns) and
     ``normalized_basis(l-1, k)`` (rows); the faces are walked by
-    ``_face_words`` and the rows looked up by strand word.  An inner face
+    ``_face_words`` on strand words, each term written straight into its
+    row, in closed form and never through the rewrite memo.  An inner face
     maps covered strands onto covered strands and the rewrite keeps each
     term's strands, so every term of the image lies in the target basis; a
     term outside it raises ``ConsistencyError``.
@@ -227,19 +266,8 @@ def d1_matrix(l: int, k: int, f: Field) -> SparseMatrix:
     if l < 1:
         raise ValueError("d1 needs a positive column index")
     src = normalized_basis(l, k)
-    tgt_index = {_word(m, l - 1): r for r, m in enumerate(normalized_basis(l - 1, k))}
-    columns = []
-    for c, col in enumerate(_face_words(l, src)):
-        column = {}
-        for w, coeff in col.items():
-            r = tgt_index.get(w)
-            if r is None:
-                term = sorted([(x >> 1, v) for v, x in enumerate(w, 1) if x > 1] +
-                              [(v, v) for v, x in enumerate(w, 1) if x & 1])
-                raise ConsistencyError(f"face image term {tuple(term)!r} of {src[c]!r} is not a normalized monomial")
-            column[r] = coeff
-        columns.append(column)
-    return SparseMatrix(len(tgt_index), len(src), f, columns)
+    rows = _strand_words(normalized_basis(l - 1, k), l - 1)  # first: it is the last d1's source
+    return SparseMatrix(len(rows), len(src), f, list(_face_words(l, src, _strand_words(src, l), rows)))
 
 
 def column_homology(n: int, k: int, f: Field) -> list:

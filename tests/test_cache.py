@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectral_knots
+from spectral_knots import cache as cache_module
 from spectral_knots.cache import ResultCache, ResultRecord, fingerprint, source_digest
 
 
@@ -149,6 +150,18 @@ def test_store_is_atomic_no_stray_temp_files(tmp_path):
     cache.store(make_record(fp))
     names = os.listdir(tmp_path)
     assert names == [f"{fp}.json"]
+
+
+def test_a_temp_name_clash_warns_and_leaves_the_other_file(tmp_path, capsys, monkeypatch):
+    cache = ResultCache(str(tmp_path))
+    fp = fingerprint({"command": "chord", "n": 3})
+    monkeypatch.setattr(cache_module, "_STORES", iter([7]))
+    other = tmp_path / f"{fp}.json.{os.getpid()}.7.tmp"
+    other.write_text("another writer's")
+    cache.store(make_record(fp))
+    assert "warning: result not cached" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == [other.name]
+    assert other.read_text() == "another writer's"
 
 
 def test_unwritable_cache_dir_is_a_miss_not_an_error(tmp_path, capsys):

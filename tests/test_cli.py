@@ -452,6 +452,18 @@ def test_cli_import_loads_no_unneeded_module():
     assert set(loaded) & set(UNNEEDED_AT_LAUNCH) == set()
 
 
+def test_cli_import_without_site_loads_no_temp_file_module():
+    # -S: site may load tempfile itself, which would hide the package's import
+    code = "import sys; import spectral_knots.cli; print(' '.join(sorted(sys.modules)))"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    loaded = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=src), check=True,
+        capture_output=True, text=True
+    ).stdout.split()
+    assert "spectral_knots.cli" in loaded
+    assert set(loaded) & {"tempfile", "random", "shutil"} == set()
+
+
 def run_python(code, **env):
     """Run ``code`` in a fresh interpreter on this package; its stdout lines."""
     src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -237,6 +237,27 @@ def test_constructor_checks_row_indices_and_column_count():
     assert SparseMatrix(2, 2, Q, [{1: 3}, {0: 0}]).columns == [{1: 3}, {}]
 
 
+def test_constructor_coerces_only_scalars_that_are_not_ints(monkeypatch):
+    # a column of ints is kept over Q and reduced inline over F_p; Field.coerce
+    # takes the scalars of any other column
+    coerced = []
+    coerce = Field.coerce
+
+    def record(self, x):
+        coerced.append(x)
+        return coerce(self, x)
+
+    monkeypatch.setattr(Field, "coerce", record)
+    columns = [{0: -1, 2: 4}, {1: 3}]
+    assert SparseMatrix(3, 2, Q, columns).columns == columns
+    assert SparseMatrix(3, 2, F2, columns).columns == [{0: 1}, {1: 1}]
+    assert SparseMatrix(3, 2, Field(3), columns).columns == [{0: 2, 2: 1}, {}]
+    assert coerced == []
+    assert SparseMatrix(2, 1, Field(3), [{0: Fraction(1, 2), 1: True}]).columns == [{0: 2, 1: 1}]
+    assert SparseMatrix(2, 1, Q, [{0: Fraction(4, 2), 1: 1}]).columns == [{0: 2, 1: 1}]
+    assert coerced == [Fraction(1, 2), True, Fraction(2), 1]
+
+
 def test_compose_shape_error():
     with pytest.raises(ShapeError):
         mat([[1, 2]]).compose(mat([[1, 2]]))

@@ -6,7 +6,7 @@ from the cache in every output format, a usage error, a bad field and the
 capacity refusals.  A profile hook records the code object of every call.
 A ``def`` under ``src/``, nested ones included, that no command enters is
 code only the tests reach, and fails the test unless it is a dunder value
-method.
+method or one of the few pinned by name.
 """
 
 import ast
@@ -25,13 +25,22 @@ EXEMPT_NAMES = {"__eq__", "__hash__", "__repr__"}
 # it, only bench/spans.py and the tests do, until the benchmark reads spans
 # the library records itself
 EXEMPT_QUALNAMES = {"SparseMatrix.entries"}
+# reached by tests alone, and pinned so: ``Field.coerce`` takes the scalars
+# other than int that library callers pass, which no command makes; and the
+# rewrite to the forest normal form, which d1 replaces by its closed-form
+# Arnold chains and which kancheck never needs, since on at most three
+# strands no face image has two smaller neighbours on one strand.  The
+# rewrite stays as the reference the closed forms are tested against, and
+# bench/spans.py reads the memo's counters.
+ONLY_TESTS_REACH = ["Field.coerce", "_default_choice", "_reduce_cached", "_rewrite_step", "_shared_larger",
+                    "is_basic", "reduce_squarefree"]
 
 COMMANDS = [
     (0, ["--command", command, *sizes, "--field", field, "--format", fmt])
     for command, sizes in (
         ("e2", ["--n", "3", "--k-max", "2"]),
-        # the first e2 with a face that takes two rewrite steps, the only kind
-        # the word walk hands to the face map and the rewrite memo
+        # the first e2 with a face that takes two rewrite steps, a chain the
+        # word walk writes in closed form
         ("e2", ["--n", "5", "--k-max", "3"]),
         ("chord", ["--n", "3"]),
         ("crosscheck", ["--n", "2"]),
@@ -97,4 +106,4 @@ def test_every_def_is_entered_by_a_command(tmp_path, monkeypatch):
         qualname for key, qualname in _defs().items()
         if key not in entered and key[2] not in EXEMPT_NAMES and qualname not in EXEMPT_QUALNAMES
     )
-    assert unreached == []
+    assert unreached == ONLY_TESTS_REACH

@@ -1,6 +1,9 @@
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -25,7 +28,7 @@ from spectral_knots.conf_algebra import (
     basis_monomials,
     is_basic,
 )
-from spectral_knots import sinha
+from spectral_knots import conf_algebra, sinha
 from spectral_knots.linalg import CAPACITY_LIMIT, ComplexError, Field, SparseMatrix
 from spectral_knots.sinha import (
     CapacityError,
@@ -157,15 +160,16 @@ def test_normalized_dimension_field_independent():
 
 def test_d1_raises_on_a_face_term_outside_the_basis(monkeypatch):
     # every term of an inner face image covers all l - 1 strands, so a term
-    # missing one is a broken face map, not something to project away
+    # the target rows lack is a broken face map, not something to project away
     walk = sinha._face_words
+    leaked = ((1, 2), (2, 3))  # face 2 of ((1, 2), (3, 4)), among others
+    assert leaked in normalized_basis(3, 2)
 
-    def leaky(l, sources):
-        for col in walk(l, sources):
-            yield {**col, sinha._word(((1, 1), (1, 2)), l - 1): 1}
+    def leaky(l, sources, words, rows):
+        return walk(l, sources, words, {w: r for w, r in rows.items() if w != sinha._word(leaked, l - 1)})
 
     monkeypatch.setattr(sinha, "_face_words", leaky)
-    with pytest.raises(ConsistencyError, match=r"\(\(1, 1\), \(1, 2\)\)"):
+    with pytest.raises(ConsistencyError, match=re.escape(f"face image term {leaked!r} of ((")):
         d1_matrix(4, 2, Q)
 
 
@@ -243,10 +247,26 @@ def normalized_monomials(draw):
 
 # staircases: face l - 1 takes a chain of l - 3 rewrite steps
 STAIRS = [(l, tuple((a, a + 2) for a in range(1, l - 1))) for l in (5, 6, 7)]
+# the first two with a factor (1, 2): their chains vanish at step two and three
+VANISHING_STAIRS = [(l, ((1, 2),) + mono) for l, mono in STAIRS[:2]]
 
 
 def test_staircase_faces_take_chains_of_two_to_four_steps():
     assert [rewrite_steps(l - 1, l, mono) for l, mono in STAIRS] == [2, 3, 4]
+    assert all(apply_face(l - 1, l, {mono: 1}) for l, mono in STAIRS)
+
+
+def test_staircases_with_a_first_step_vanish_at_the_second_and_third():
+    assert [rewrite_steps(l - 1, l, mono) for l, mono in VANISHING_STAIRS] == [2, 3]
+    assert [apply_face(l - 1, l, {mono: 1}) for l, mono in VANISHING_STAIRS] == [{}, {}]
+
+
+class Numbering(dict):
+    """{strand word: row} that numbers each word on its first lookup."""
+
+    def __missing__(self, word):
+        self[word] = len(self)
+        return self[word]
 
 
 @settings(max_examples=300, deadline=None)
@@ -254,33 +274,29 @@ def test_staircase_faces_take_chains_of_two_to_four_steps():
 @example(STAIRS[0])
 @example(STAIRS[1])
 @example(STAIRS[2])
+@example(VANISHING_STAIRS[0])
+@example(VANISHING_STAIRS[1])
 def test_word_walk_is_the_face_sum(case):
     # the word walk's closed forms and chains against the face map and the
     # rewrite memo, over Z
     l, mono = case
     assert monomial(sinha._word(mono, l)) == mono
-    (col,) = sinha._face_words(l, [mono])
-    assert {monomial(w): c for w, c in col.items()} == face_sum(l, mono)
+    rows = Numbering()
+    (col,) = sinha._face_words(l, [mono], [sinha._word(mono, l)], rows)
+    words = list(rows)
+    assert {monomial(words[r]): c for r, c in col.items() if c} == face_sum(l, mono)
 
 
-def test_word_walk_enters_the_face_map_only_for_chains(monkeypatch):
-    # on the matrices of e2 --n 8 --k-max 4, 164 of the 6142 inner faces
-    # take two or more rewrite steps; only those reach _face_monomial
-    face = sinha._face_monomial
-    entered = []
-
-    def record(i, l, factors):
-        entered.append((i, l, factors))
-        return face(i, l, factors)
-
-    monkeypatch.setattr(sinha, "_face_monomial", record)
-    pairs = [(l, k) for k in range(5) for l in range(1, min(8, 2 * k + 1) + 1)]
-    for l, k in pairs:
-        d1_matrix(l, k, Q)
-    chains = [(i, l, m) for l, k in pairs for m in normalized_basis(l, k) for i in range(1, l)
-              if rewrite_steps(i, l, m) >= 2]
-    assert sum(len(normalized_basis(l, k)) * (l - 1) for l, k in pairs) == 6142
-    assert entered == chains and len(chains) == 164
+def test_e2_page_leaves_the_rewrite_memo_empty():
+    # in a fresh interpreter, so that no earlier test has filled the memo
+    code = ("from spectral_knots import conf_algebra, sinha\n"
+            "from spectral_knots.linalg import Field\n"
+            "sinha.e2_page(8, 4, Field())\n"
+            "print(conf_algebra._reduce_cached.cache_info().currsize)\n")
+    src = os.path.dirname(os.path.dirname(sinha.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out == "0\n"
 
 
 # every (l, k) with k <= 6 whose d1 has both dimensions <= 15000
@@ -297,6 +313,25 @@ def test_d1_is_the_face_monomial_matrix():
         want = face_monomial_d1(l, k, Q)
         for field in (Q, F2, Field(3)):
             assert d1_matrix(l, k, field) == SparseMatrix(want.rows, want.cols, field, want.columns), (l, k, field)
+
+
+def test_d1_enters_neither_the_face_map_nor_the_rewrite_memo(monkeypatch):
+    # every face is written in closed form, chains included: on the matrices
+    # of e2 --n 8 --k-max 4, 164 of the 6142 inner faces take two or more
+    # rewrite steps
+    pairs = [(l, k) for k in range(5) for l in range(1, min(8, 2 * k + 1) + 1)]
+    faces = [(i, l, m) for l, k in pairs for m in normalized_basis(l, k) for i in range(1, l)]
+    assert len(faces) == 6142 and sum(rewrite_steps(*face) >= 2 for face in faces) == 164
+
+    def refuse(*args):
+        raise AssertionError(f"entered with {args!r}")
+
+    for owner in (sinha, conf_algebra):
+        monkeypatch.setattr(owner, "_reduce_cached", refuse)
+    monkeypatch.setattr(sinha, "_face_monomial", refuse)
+    assert set(pairs) <= set(SMALL_D1)
+    for l, k in SMALL_D1:
+        d1_matrix(l, k, Q)
 
 
 # ---------------------------------------------------------------------------
