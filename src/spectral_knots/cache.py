@@ -22,6 +22,7 @@ except ImportError:  # renamed _sha2 in Python 3.12; the digest is the same
 
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 _STORES = itertools.count()  # numbers this process's temp files
+_TEMP_TRIES = 100  # temp names a store tries before it gives up
 
 
 def fingerprint(config: dict) -> str:
@@ -84,18 +85,26 @@ class ResultCache:
         """Write ``record``, creating the directory; warn if that fails.
 
         The temp file is named by the fingerprint, the process id and a
-        counter, and created exclusively; a leftover file of that name is an
-        error like any other, and is left alone.
+        counter, and created exclusively.  A name that is taken (say by a run
+        killed before its rename, whose process id a later launch reuses) is
+        left alone and the next number tried, up to ``_TEMP_TRIES`` names.
         """
-        name = f"{self.path(record.fingerprint)}.{os.getpid()}.{next(_STORES)}.tmp"
+        final = self.path(record.fingerprint)
         tmp = None
         try:
             os.makedirs(self.cache_dir, exist_ok=True)
-            fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+            for left in reversed(range(_TEMP_TRIES)):
+                name = f"{final}.{os.getpid()}.{next(_STORES)}.tmp"
+                try:
+                    fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+                    break
+                except FileExistsError:
+                    if not left:
+                        raise
             tmp = name
             with os.fdopen(fd, "w", encoding="utf-8") as f:  # dumps runs the C encoder, dump does not
                 f.write(json.dumps(record._asdict(), sort_keys=True))
-            os.replace(tmp, self.path(record.fingerprint))
+            os.replace(tmp, final)
         except OSError as exc:
             print(f"warning: result not cached, cannot write {self.cache_dir}: {exc}", file=sys.stderr)
         finally:

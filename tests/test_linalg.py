@@ -75,13 +75,24 @@ def test_field_spec_roundtrip():
             Field.from_spec(bad)
 
 
+def coerce_one(f, x):
+    """``x`` reduced into ``f`` as the one scalar of a line."""
+    return f.coerce({0: x})[0]
+
+
 def test_coerce():
-    assert Q.coerce(2) == Fraction(2)
+    assert coerce_one(Q, 2) == Fraction(2)
     f7 = Field(7)
-    assert f7.coerce(-1) == 6
-    assert f7.coerce(Fraction(1, 2)) == 4  # inverse of 2 mod 7
+    assert coerce_one(f7, -1) == 6
+    assert coerce_one(f7, Fraction(1, 2)) == 4  # inverse of 2 mod 7
     with pytest.raises(ZeroDivisionError):
-        f7.coerce(Fraction(1, 7))
+        coerce_one(f7, Fraction(1, 7))
+    # a whole line at once, into a new dict, zeros kept
+    line = {3: 7, 5: Fraction(3, 2), 8: 0}
+    assert f7.coerce(line) == {3: 0, 5: 5, 8: 0} and Q.coerce(line) == line
+    ints = {1: -2, 4: 9}
+    assert Q.coerce(ints) == ints and Q.coerce(ints) is not ints
+    assert f7.coerce(ints) == {1: 5, 4: 2}
 
 
 P61 = 2**61 - 1
@@ -104,8 +115,8 @@ def test_coerce_refuses_floats_over_prime_fields():
     int_rows = [[int(x) for x in row] for row in FLOAT_ROWS]
     assert mat(int_rows, Field(P61)).rank() == 3
     # bools are ints; over Q a float is exact through Fraction
-    assert F2.coerce(True) == 1 and type(F2.coerce(True)) is int
-    assert Q.coerce(0.5) == Fraction(1, 2)
+    assert coerce_one(F2, True) == 1 and type(coerce_one(F2, True)) is int
+    assert coerce_one(Q, 0.5) == Fraction(1, 2)
     assert mat(FLOAT_ROWS).rank() == mat(int_rows).rank()
 
 
@@ -136,10 +147,12 @@ def test_coerce_matches_fraction_reference(f, x):
         expected = _reference_coerce(f, x)
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
-            f.coerce(x)
+            coerce_one(f, x)
         return
-    got = f.coerce(x)
+    got = coerce_one(f, x)
     assert got == expected
+    # beside an int, so that a line of ints and a mixed line agree
+    assert f.coerce({0: x, 1: -5}) == {0: got, 1: coerce_one(f, -5)}
     if f.p is None:
         assert type(got) is (int if expected.denominator == 1 else Fraction)
     else:
@@ -218,7 +231,7 @@ def sparse_entries(draw):
 def test_entries_round_trip_through_the_constructor(case):
     rows, cols, field, entries = case
     m = from_entries(rows, cols, field, entries)
-    want = {rc: field.coerce(v) for rc, v in entries.items()}
+    want = field.coerce(entries)
     assert m.entries == {rc: v for rc, v in want.items() if v}
     again = from_entries(rows, cols, field, m.entries)
     assert again == m and again.entries == m.entries
@@ -237,25 +250,27 @@ def test_constructor_checks_row_indices_and_column_count():
     assert SparseMatrix(2, 2, Q, [{1: 3}, {0: 0}]).columns == [{1: 3}, {}]
 
 
-def test_constructor_coerces_only_scalars_that_are_not_ints(monkeypatch):
-    # a column of ints is kept over Q and reduced inline over F_p; Field.coerce
-    # takes the scalars of any other column
+def test_constructor_coerces_once_per_column(monkeypatch):
+    # one Field.coerce call per column, never per scalar; a column of ints is
+    # copied over Q and reduced mod p over F_p, and the zeros are dropped
     coerced = []
     coerce = Field.coerce
 
-    def record(self, x):
-        coerced.append(x)
-        return coerce(self, x)
+    def record(self, line):
+        coerced.append(line)
+        return coerce(self, line)
 
     monkeypatch.setattr(Field, "coerce", record)
     columns = [{0: -1, 2: 4}, {1: 3}]
-    assert SparseMatrix(3, 2, Q, columns).columns == columns
+    m = SparseMatrix(3, 2, Q, columns)
+    assert m.columns == columns and all(a is not b for a, b in zip(m.columns, columns))
     assert SparseMatrix(3, 2, F2, columns).columns == [{0: 1}, {1: 1}]
     assert SparseMatrix(3, 2, Field(3), columns).columns == [{0: 2, 2: 1}, {}]
-    assert coerced == []
+    assert coerced == columns * 3
+    coerced.clear()
     assert SparseMatrix(2, 1, Field(3), [{0: Fraction(1, 2), 1: True}]).columns == [{0: 2, 1: 1}]
     assert SparseMatrix(2, 1, Q, [{0: Fraction(4, 2), 1: 1}]).columns == [{0: 2, 1: 1}]
-    assert coerced == [Fraction(1, 2), True, Fraction(2), 1]
+    assert coerced == [{0: Fraction(1, 2), 1: True}, {0: Fraction(2), 1: 1}]
 
 
 def test_compose_shape_error():

@@ -6,7 +6,7 @@ from pathlib import Path
 
 PKG = Path(__file__).resolve().parent.parent / "src" / "spectral_knots"
 OBJECT_ALGEBRA = {"Monomial", "AlgebraElement"}
-REWRITE = {"_reduce_cached", "_rewrite_step", "reduce_squarefree"}
+REWRITE = {"_reduce_cached"}
 
 
 def _tree(module):

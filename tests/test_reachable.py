@@ -6,7 +6,7 @@ from the cache in every output format, a usage error, a bad field and the
 capacity refusals.  A profile hook records the code object of every call.
 A ``def`` under ``src/``, nested ones included, that no command enters is
 code only the tests reach, and fails the test unless it is a dunder value
-method or one of the few pinned by name.
+method or one of the two objects the benchmark reads.
 """
 
 import ast
@@ -21,19 +21,12 @@ PKG = Path(cli.__file__).resolve().parent
 
 # value semantics: equality, hashing and display for library callers
 EXEMPT_NAMES = {"__eq__", "__hash__", "__repr__"}
-# the {(row, col): value} view of a matrix held as columns: no command reads
-# it, only bench/spans.py and the tests do, until the benchmark reads spans
-# the library records itself
-EXEMPT_QUALNAMES = {"SparseMatrix.entries"}
-# reached by tests alone, and pinned so: ``Field.coerce`` takes the scalars
-# other than int that library callers pass, which no command makes; and the
-# rewrite to the forest normal form, which d1 replaces by its closed-form
-# Arnold chains and which kancheck never needs, since on at most three
-# strands no face image has two smaller neighbours on one strand.  The
-# rewrite stays as the reference the closed forms are tested against, and
-# bench/spans.py reads the memo's counters.
-ONLY_TESTS_REACH = ["Field.coerce", "_default_choice", "_reduce_cached", "_rewrite_step", "_shared_larger",
-                    "is_basic", "reduce_squarefree"]
+# read by bench/spans.py alone among non-test callers: the {(row, col):
+# value} view of a matrix held as columns, until the benchmark reads spans
+# the library records itself; and the rewrite memo, whose counters make
+# conf_algebra.reduce.*, until the benchmark drops them and the memo joins
+# the reference rewrite in tests/oracles.py
+EXEMPT_QUALNAMES = {"SparseMatrix.entries", "_reduce_cached"}
 
 COMMANDS = [
     (0, ["--command", command, *sizes, "--field", field, "--format", fmt])
@@ -106,4 +99,4 @@ def test_every_def_is_entered_by_a_command(tmp_path, monkeypatch):
         qualname for key, qualname in _defs().items()
         if key not in entered and key[2] not in EXEMPT_NAMES and qualname not in EXEMPT_QUALNAMES
     )
-    assert unreached == ONLY_TESTS_REACH
+    assert unreached == []
