@@ -13,10 +13,9 @@ coefficient) pairs, for the expanded complex of ``kan_unit_check``, whose
 faces never need a rewrite.  ``d1_matrix`` walks the faces on strand words
 instead, one byte per strand (``_word``), and writes each face down in
 closed form, a chain of Arnold steps included, each term straight into
-its row (``_face_words``): no face goes through the rewrite memo.  Nor
-does the diagonal entry: its sources are perfect matchings, whose inner
-faces ``_face_columns`` writes down in closed form on flat byte words.
-Face map conventions
+its row (``_face_words``): no face goes through the rewrite memo.  The
+diagonal entry takes the same walk over its perfect matchings, and numbers
+the rows by strand word.  Face map conventions
 (validated by d1*d1 = 0 and by the chord-diagram cross-check, see tests):
 
 * inner face i (1 <= i <= l-1): relabel strands along the surjection
@@ -29,6 +28,7 @@ Face map conventions
 """
 
 import itertools
+from collections import defaultdict
 from functools import lru_cache
 from math import comb
 
@@ -160,11 +160,13 @@ def _word(mono: tuple, l: int) -> bytes:
 
 
 def _face_words(l: int, sources, words, rows: dict):
-    """Alternating inner face sums of normalized monomials on l strands, one
-    {row: int} per source in turn, each term looked up in ``rows`` ({strand
-    word on l - 1 strands: row}) as it is written; a sum that cancels stays
-    as a 0, which the matrix constructor drops.  ``words`` is the list of
-    the strand words of ``sources``, in the same order.
+    """Alternating inner face sums of normalized monomials on l strands,
+    the sources of ``d1_matrix`` and the kept perfect matchings of
+    ``e2_diagonal`` alike, one {row: int} per source in turn.  Each term is
+    looked up in ``rows`` ({strand word on l - 1 strands: row}, which may
+    number a word on its first lookup) as it is written; a sum that cancels
+    stays as a 0.  ``words`` is the list of the strand words of
+    ``sources``, in the same order.
 
     Inner face i keeps the bytes of strands 1..i-1, merges those of i and
     i+1 into one, and relabels every later neighbour n as n - (n > i), one
@@ -318,14 +320,14 @@ def e2_diagonal(n_diag: int, f: Field) -> int:
     is d1 on the kept sources, those with no factor (i, i+1) (the columns
     of the one-term quotient of linear chord diagrams; the chord side ranks
     circular diagrams modulo rotation instead), in d1's orientation: one row
-    per face term they hit, numbered in ``basis_order``, and one column per
-    kept source.  The entry is cols - rank.  The kept sources are
+    per face term with a nonzero sum, numbered in strand-word order, and one
+    column per kept source.  The entry is cols - rank.  The kept sources are
     enumerated directly, so neither the diagonal column (2n, n) nor the
-    target column (2n-1, n) is enumerated, and their faces are walked as
-    byte words, off the face map and the rewrite memo.  A source with a
-    factor (i, i+1) among the kept ones would break the argument and raises
-    ``ConsistencyError``.  The capacity check refuses n_diag >= 8 at once,
-    so every strand label fits in one byte of those words.
+    target column (2n-1, n) is enumerated, and their faces are walked by
+    d1's ``_face_words``, off the face map and the rewrite memo.  A source
+    with a factor (i, i+1) among the kept ones would break the argument and
+    raises ``ConsistencyError``.  The capacity check refuses n_diag >= 8 at
+    once, so every neighbour fits its byte of a strand word.
     """
     if n_diag < 1:
         raise ValueError("n_diag must be >= 1")
@@ -368,58 +370,24 @@ def _kept_face_matrix(l: int, f: Field) -> SparseMatrix:
     """d1 on the perfect matchings of l strands with no factor (i, i+1), in
     d1's orientation: one column per such source, enumerated by
     ``_kept_matchings`` and never through ``normalized_basis``, and one row
-    per face term they hit.  The columns are ``_face_columns``, keyed by
-    flat words of one length, whose byte order is ``basis_order`` on
-    monomials with no tangent class; so the rows are numbered by a sort
-    without a key.  Each term is held once, numbered as first hit and then
-    renumbered, and none is held once the matrix is built."""
-    first = {}
-    cols = [{first.setdefault(w, len(first)): v for w, v in col.items()}
-            for col in _face_columns(l, _kept_matchings(l))]
+    per face term with a nonzero sum, numbered in strand-word order.  The
+    columns are walked by ``_face_words``, which numbers each term's strand
+    word on its first lookup; a term whose sums all cancel gets no row.  A
+    source with a factor (i, i+1) raises ``ConsistencyError``: its face i
+    would be a tangent class, a row that only such a source may hit."""
+    src = _kept_matchings(l)
+    for m in src:
+        if any(b == a + 1 for a, b in m):
+            raise ConsistencyError(f"kept source {m!r} has a factor (i, i+1): one face is a tangent class")
+    first = defaultdict(lambda: len(first))
+    cols = list(_face_words(l, src, [_word(m, l) for m in src], first))
+    hit = {j for col in cols for j, v in col.items() if v}
     number = [0] * len(first)
-    for r, w in enumerate(sorted(first)):
-        number[first[w]] = r
-    cols = [{number[j]: v for j, v in col.items()} for col in cols]
-    return SparseMatrix(len(number), len(cols), f, cols)
-
-
-def _face_columns(l: int, sources):
-    """Alternating inner face sums of perfect matchings of l strands with no
-    factor (i, i+1), one {flat word: nonzero int} per source in turn.
-
-    A flat word lists a sorted factor tuple's strands, one byte each.  With
-    p and q the partners of strands i and i+1, inner face i maps each byte
-    v to v - (v > i); if p > q > i the two pairs now opening at i swap.  If
-    p, q < i (a = min, b = max), the one Arnold step gives +(a's pair
-    becomes (a, b)) - (a's pair becomes (a, b), (a, i); b's pair goes),
-    both basic.  A factor (i, i+1) raises ``ConsistencyError``: face i
-    would be a tangent class.
-    """
-    shrink = [bytes(range(i + 1)) + bytes(range(i, 255)) for i in range(l)]
-    partner, slot = [0] * (l + 1), [0] * (l + 1)  # slot: position of an opener's pair
-    for src in sources:
-        flat = bytes(itertools.chain(*src))
-        for s, (a, b) in enumerate(src):
-            partner[a], partner[b], slot[a] = b, a, 2 * s
-        acc = {}
-        for i in range(1, l):
-            p, q = partner[i], partner[i + 1]
-            sign = -1 if i % 2 else 1
-            w = flat.translate(shrink[i])
-            if p < i and q < i:
-                a, b = (p, q) if p < q else (q, p)
-                sa, sb = slot[a], slot[b]
-                plus = w[:sa + 1] + bytes((b,)) + w[sa + 2:]
-                w = w[:sa] + bytes((a, b)) + w[sa:sb] + w[sb + 2:]
-                acc[plus] = acc.get(plus, 0) + sign
-                sign = -sign
-            elif p > q > i:
-                s = slot[i]
-                w = w[:s] + w[s + 2:s + 4] + w[s:s + 2] + w[s + 4:]
-            elif q == i:
-                raise ConsistencyError(f"source {src!r} has the factor ({i}, {i + 1}): face {i} is a tangent class")
-            acc[w] = acc.get(w, 0) + sign
-        yield {w: c for w, c in acc.items() if c}
+    for r, (_, j) in enumerate(sorted((w, j) for w, j in first.items() if j in hit)):
+        number[j] = r
+    del first  # its default factory refers back to it: free it now, not at the next collection
+    cols = [{number[j]: v for j, v in col.items() if v} for col in cols]
+    return SparseMatrix(len(hit), len(cols), f, cols)
 
 
 def vassiliev_e1_view(page: dict) -> dict:

@@ -96,12 +96,15 @@ def _run_for_peak(script, tmp_path):
 
 
 @pytest.mark.slow
-def test_degree_seven_column_basis_fits_in_memory(tmp_path):
-    # the n = 7 column next to the diagonal
+def test_largest_k_six_column_bases_fit_in_memory(tmp_path):
+    # the two largest columns that e2 --n 12 --k-max 6 builds, held together
+    # as its basis cache holds them (about 0.8 s, peak about 46 MB)
     out, peak_kib = _run_for_peak(
-        "from spectral_knots.sinha import normalized_basis\nprint(len(normalized_basis(13, 7)))\n", tmp_path)
-    assert int(out) == normalized_dim_formula(13, 7) == 675675
-    assert peak_kib < 220 * 1024
+        "from spectral_knots.sinha import normalized_basis\n"
+        "print(*[len(normalized_basis(l, 6)) for l in (9, 10)])\n", tmp_path)
+    assert [int(x) for x in out.split()] == [normalized_dim_formula(l, 6) for l in (9, 10)] == [86912, 83475]
+    assert max(normalized_dim_formula(l, 6) for l in range(13)) == 86912
+    assert peak_kib < 64 * 1024
 
 
 def test_degree_six_crosscheck_over_f2_fits_in_memory(tmp_path):
@@ -146,13 +149,14 @@ def test_degree_seven_over_f3_is_bar_natans_fourteen_in_bounded_memory(tmp_path)
 def test_degree_seven_sinha_diagonal_over_f2_is_fourteen_in_bounded_memory(tmp_path):
     # e2_diagonal(7) = 14 = dim_A(7) (Bar-Natan, as above), ranked over the
     # 47844 of 135135 matchings with no factor (i, i+1), enumerated alone;
-    # neither the (14, 7) nor the (13, 7) column is, and the faces are walked
-    # as byte words, off the rewrite memo (peak about 248 MB)
+    # neither the (14, 7) nor the (13, 7) column is.  The faces are walked on
+    # strand words, off the rewrite memo, and only the 210650 of 240548 face
+    # terms with a nonzero sum get a row (about 25 s, peak about 239 MB)
     out, peak_kib = _run_for_peak(
         "from spectral_knots.sinha import e2_diagonal\nfrom spectral_knots.linalg import Field\n"
         "print(e2_diagonal(7, Field(2)))\n", tmp_path)
     assert int(out) == 14
-    assert peak_kib < 450 * 1024
+    assert peak_kib <= 253 * 1024
 
 
 # sha256 of the stdout of `e2 --n 10 --k-max 5` before the clearing ranks
