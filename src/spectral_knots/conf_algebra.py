@@ -65,7 +65,6 @@ def _reduce_cached(mono: tuple) -> tuple:
     return tuple((m, k) for m, k in out.items() if k)
 
 
-@lru_cache(maxsize=None)
 def basis_monomials(l: int, k: int):
     """All basic monomials of degree 2k on l strands, as sorted factor tuples
     in ``basis_order``.

@@ -7,15 +7,14 @@ The column differential is the alternating sum of face maps.  Homology of
 the columns gives the second-page dimension table; the standard degree
 shift relabels it as the first page of the discriminant-side sequence.
 
-A monomial is its sorted factor tuple in the basis; a face map
-(``_face_monomial``) sends one to a tuple of (factor tuple, int
-coefficient) pairs, for the expanded complex of ``kan_unit_check``, whose
-faces never need a rewrite.  ``d1_matrix`` walks the faces on strand words
-instead, one byte per strand (``_word``), and writes each face down in
-closed form, a chain of Arnold steps included, each term straight into
-its row (``_face_words``): no face goes through the rewrite memo.  The
-diagonal entry takes the same walk over its perfect matchings, and numbers
-the rows by strand word.  Face map conventions
+A monomial is its sorted factor tuple in the basis, and its strand word,
+one byte per strand (``_word``), on the way through a face.  One walk,
+``_face_words``, writes every inner face of every Sinha complex in closed
+form, a chain of Arnold steps included, each term straight into its row:
+the columns of ``d1_matrix``, the kept perfect matchings of the diagonal
+entry, and the labelled blocks of the expanded complex of
+``kan_unit_check``, whose outer faces take a few lines on words besides.
+No face goes through the rewrite memo.  Face map conventions
 (validated by d1*d1 = 0 and by the chord-diagram cross-check, see tests):
 
 * inner face i (1 <= i <= l-1): relabel strands along the surjection
@@ -24,7 +23,7 @@ the rows by strand word.  Face map conventions
 * outer faces i = 0 and i = l: the boundary strand is deleted; any factor
   touching it pulls back to zero.  On normalized columns the outer faces
   therefore vanish identically (checked by strand occurrence: each source
-  of d1 must touch strands 1 and l).
+  of d1 must touch strands 1 and l, ``_normalized_words``).
 """
 
 import itertools
@@ -34,50 +33,6 @@ from math import comb
 
 from .conf_algebra import basis_monomials, basis_order, dim_Y
 from .linalg import CAPACITY_LIMIT, CapacityError, ConsistencyError, Field, SparseMatrix, homology_dim
-
-
-def _face_monomial(i: int, l: int, factors: tuple) -> tuple:
-    """Face pullback of a basic sorted factor tuple, as a tuple of (factor
-    tuple, int coefficient) pairs; () when it vanishes.
-
-    The input must be basic: each strand then has at most one smaller
-    neighbour, so one scan over the factors classifies an inner face.  An
-    inner face whose image is not basic, where the shrunk strand gets two
-    smaller neighbours, raises ``ValueError``: such an image needs four
-    strands, and the expanded complex of ``kan_unit_check``, which this map
-    serves, has at most three.  On a normalized column the outer faces
-    i = 0 and i = l vanish, and ``_face_words`` never takes them.
-    """
-    if 1 <= i <= l - 1:
-        # smaller neighbours (0: none) and tangent classes of strands i and i+1
-        ni = nj = 0
-        ti = tj = False
-        for (a, b) in factors:
-            if b == i:
-                if a == i:
-                    ti = True
-                else:
-                    ni = a
-            elif b == i + 1:
-                if a == b:
-                    tj = True
-                else:
-                    nj = a
-        # shrinking {i, i+1} to i squares g(a,i) when both neighbours are a,
-        # and g(i,i) when two of g(i,i), g(i+1,i+1), g(i,i+1) are factors
-        if (ni and ni == nj) or (ti and tj) or ((ti or tj) and nj == i):
-            return ()
-        # the only shared larger index the shrink can make is i itself
-        if ni and nj and nj != i:
-            raise ValueError(f"face {i} of {factors!r} is not basic: strand {i} gets two smaller neighbours")
-        return ((tuple(sorted([(a - (a > i), b - (b > i)) for (a, b) in factors])), 1),)
-    if i == 0:
-        if any(a == 1 for (a, _) in factors):  # a <= b, so a == 1 covers b == 1
-            return ()
-        return ((tuple([(a - 1, b - 1) for (a, b) in factors]), 1),)  # still sorted, distinct and basic
-    if i == l:
-        return () if any(b == l for (_, b) in factors) else ((factors, 1),)
-    raise ValueError(f"face index {i} out of range 0..{l}")
 
 
 def normalized_dim_formula(l: int, k: int) -> int:
@@ -145,6 +100,12 @@ def normalized_basis(l: int, k: int) -> tuple:
 
 
 _BYTES = tuple(bytes((v,)) for v in range(256))
+# _SHRINK[i] relabels the bytes of a strand word when strands i and i+1
+# merge (i = 0: when strand 1 is deleted): a neighbour n > i becomes n - 1.
+# 128 tables cover every word whose neighbours fit a byte; slicing one
+# identity table builds them ten times faster at import than ranges do
+_IDENTITY = bytes(range(256))
+_SHRINK = tuple(_IDENTITY[:2 * i + 2] + _IDENTITY[2 * i:254] for i in range(128))
 
 
 def _word(mono: tuple, l: int) -> bytes:
@@ -159,14 +120,27 @@ def _word(mono: tuple, l: int) -> bytes:
     return bytes(w)
 
 
-def _face_words(l: int, sources, words, rows: dict):
-    """Alternating inner face sums of normalized monomials on l strands,
-    the sources of ``d1_matrix`` and the kept perfect matchings of
-    ``e2_diagonal`` alike, one {row: int} per source in turn.  Each term is
-    looked up in ``rows`` ({strand word on l - 1 strands: row}, which may
-    number a word on its first lookup) as it is written; a sum that cancels
-    stays as a 0.  ``words`` is the list of the strand words of
-    ``sources``, in the same order.
+def _normalized_words(l: int, src) -> list:
+    """Strand words of normalized monomials on l strands.  Their outer faces,
+    which delete strand 1 or l, vanish: a monomial missing either raises
+    ``ConsistencyError``."""
+    words = [_word(m, l) for m in src]
+    for m, w in zip(src, words):
+        # the factors are sorted, so strand 1 occurs iff the first factor starts at 1
+        if not w[-1] or m[0][0] != 1:
+            raise ConsistencyError(f"normalized monomial {m!r} misses strand 1 or {l}: an outer face is nonzero")
+    return words
+
+
+def _face_words(l: int, words, rows):
+    """Alternating inner face sums of basic monomials on l strands, given by
+    their strand words, one {row: int} per word in turn: the one face walk of
+    every Sinha complex.  Inner face i looks each term up in ``rows[i]``
+    ({strand word on l - 1 strands: row}, which may number a word on its
+    first lookup) as it writes it; a sum that cancels stays as a 0.
+    ``d1_matrix`` and ``_kept_face_matrix`` pass one index for every face,
+    ``_expanded_column_homology`` the block of each face's label.  The outer
+    faces are left to the callers.
 
     Inner face i keeps the bytes of strands 1..i-1, merges those of i and
     i+1 into one, and relabels every later neighbour n as n - (n > i), one
@@ -180,16 +154,11 @@ def _face_words(l: int, sources, words, rows: dict):
     The strands of a chain decrease and both terms of a step share what
     follows, so a chain of T steps writes 2^T words; they are visited in
     Gray-code order, one byte flipped and the sign turned per word.  No face
-    goes through the face map or the rewrite memo: the result is the normal
-    form, which does not depend on the order of rewriting.  The outer faces
-    vanish when strands 1 and l occur; a source missing either, or a term
-    missing from ``rows``, raises ``ConsistencyError``.
+    goes through the rewrite memo: the result is the normal form, which does
+    not depend on the order of rewriting.  A term missing from its index
+    raises ``ConsistencyError``.
     """
-    shrink = [bytes(range(min(2 * i + 2, 256))) + bytes(range(2 * i, 254)) for i in range(l)]
-    for mono, w in zip(sources, words):
-        # the factors are sorted, so strand 1 occurs iff the first factor starts at 1
-        if not w[-1] or mono[0][0] != 1:
-            raise ConsistencyError(f"normalized monomial {mono!r} misses strand 1 or {l}: an outer face is nonzero")
+    for w in words:
         acc = {}
         try:
             for i in range(1, l):
@@ -206,7 +175,7 @@ def _face_words(l: int, sources, words, rows: dict):
                     merged = x | y
                 else:
                     # an Arnold chain: each step sets its + byte and keeps its xor to the - byte
-                    word = bytearray(w[:i] + w[i + 1:].translate(shrink[i]))
+                    word = bytearray(w[:i] + w[i + 1:].translate(_SHRINK[i]))
                     lo, hi = (ni, nj) if ni < nj else (nj, ni)
                     at, bit = i - 1, (x | y) & 1
                     flips = []
@@ -222,20 +191,22 @@ def _face_words(l: int, sources, words, rows: dict):
                     if n:
                         continue
                     word[hi - 1] = 2 * lo + (z & 1)
+                    target = rows[i]
                     for m in range(1 << len(flips)):
                         if m:
                             at, flip = flips[(m & -m).bit_length() - 1]
                             word[at] ^= flip
                             sign = -sign
-                        r = rows[bytes(word)]
+                        r = target[bytes(word)]
                         acc[r] = acc.get(r, 0) + sign
                     continue
-                r = rows[w[:i - 1] + _BYTES[merged] + w[i + 1:].translate(shrink[i])]
+                r = rows[i][w[:i - 1] + _BYTES[merged] + w[i + 1:].translate(_SHRINK[i])]
                 acc[r] = acc.get(r, 0) + sign
         except KeyError as exc:
-            term = tuple(sorted([(x >> 1, v) for v, x in enumerate(exc.args[0], 1) if x > 1] +
-                                [(v, v) for v, x in enumerate(exc.args[0], 1) if x & 1]))
-            raise ConsistencyError(f"face image term {term!r} of {mono!r} is not a normalized monomial") from None
+            # the factor tuples of the missing term and of its source, words decoded
+            term, mono = (tuple(sorted([(x >> 1, v) for v, x in enumerate(u, 1) if x > 1] +
+                                       [(v, v) for v, x in enumerate(u, 1) if x & 1])) for u in (exc.args[0], w))
+            raise ConsistencyError(f"face image term {term!r} of {mono!r} is not in the target basis") from None
         yield acc
 
 
@@ -243,18 +214,19 @@ def d1_matrix(l: int, k: int, f: Field) -> SparseMatrix:
     """Matrix of the alternating face sum from column l to column l-1.
 
     Bases are ``normalized_basis(l, k)`` (columns) and
-    ``normalized_basis(l-1, k)`` (rows); the faces are walked by
+    ``normalized_basis(l-1, k)`` (rows); the inner faces are walked by
     ``_face_words`` on strand words, each term written straight into its
-    row, in closed form and never through the rewrite memo.  An inner face
-    maps covered strands onto covered strands and the rewrite keeps each
-    term's strands, so every term of the image lies in the target basis; a
-    term outside it raises ``ConsistencyError``.
+    row, in closed form and never through the rewrite memo, and the outer
+    faces vanish (``_normalized_words``).  An inner face maps covered
+    strands onto covered strands and the rewrite keeps each term's strands,
+    so every term of the image lies in the target basis; a term outside it
+    raises ``ConsistencyError``.
     """
     if l < 1:
         raise ValueError("d1 needs a positive column index")
     src = normalized_basis(l, k)
     rows = {_word(m, l - 1): r for r, m in enumerate(normalized_basis(l - 1, k))}
-    return SparseMatrix(len(rows), len(src), f, list(_face_words(l, src, [_word(m, l) for m in src], rows)))
+    return SparseMatrix(len(rows), len(src), f, list(_face_words(l, _normalized_words(l, src), [rows] * l)))
 
 
 def column_homology(n: int, k: int, f: Field) -> list:
@@ -324,9 +296,9 @@ def e2_diagonal(n_diag: int, f: Field) -> int:
     column per kept source.  The entry is cols - rank.  The kept sources are
     enumerated directly, so neither the diagonal column (2n, n) nor the
     target column (2n-1, n) is enumerated, and their faces are walked by
-    d1's ``_face_words``, off the face map and the rewrite memo.  A source
-    with a factor (i, i+1) among the kept ones would break the argument and
-    raises ``ConsistencyError``.  The capacity check refuses n_diag >= 8 at
+    d1's ``_face_words``, off the rewrite memo.  A source with a factor
+    (i, i+1) among the kept ones would break the argument and raises
+    ``ConsistencyError``.  The capacity check refuses n_diag >= 8 at
     once, so every neighbour fits its byte of a strand word.
     """
     if n_diag < 1:
@@ -380,7 +352,7 @@ def _kept_face_matrix(l: int, f: Field) -> SparseMatrix:
         if any(b == a + 1 for a, b in m):
             raise ConsistencyError(f"kept source {m!r} has a factor (i, i+1): one face is a tangent class")
     first = defaultdict(lambda: len(first))
-    cols = list(_face_words(l, src, [_word(m, l) for m in src], first))
+    cols = list(_face_words(l, _normalized_words(l, src), [first] * l))
     hit = {j for col in cols for j, v in col.items() if v}
     number = [0] * len(first)
     for r, (_, j) in enumerate(sorted((w, j) for w, j in first.items() if j in hit)):
@@ -417,8 +389,9 @@ def kan_unit_check(n: int, k_max: int, f: Field) -> tuple:
 
     The expanded side has, in simplicial degree r, one full algebra summand
     per order-preserving injection [r] -> {1..n+1}; faces compose the label
-    with a coface and apply the matching face pullback.  Both sides are
-    empty for k > 2n - 1 (r <= n strands carry <= 2r - 1 factors).
+    with a coface and apply the matching face of the monomial, its inner
+    faces by d1's walk.  Both sides are empty for k > 2n - 1 (r <= n strands
+    carry <= 2r - 1 factors).
 
     Returns (lhs, rhs), the total homology dimensions {2k - r: dim} of the
     expanded and of the plain side.  They must agree in every total degree,
@@ -446,25 +419,33 @@ def _accumulate(dims, per_level, k):
 
 
 def _expanded_column_homology(n: int, k: int, f: Field) -> dict:
-    bases = {}
-    for r in range(0, n + 1):
-        labels = list(itertools.combinations(range(1, n + 2), r + 1))
-        bases[r] = [(lab, m) for lab in labels for m in basis_monomials(r, k)]
+    """Homology dimensions {r: h_r} of the expanded complex at degree 2k,
+    its empty degrees left out.  Degree r holds one block of
+    ``basis_monomials(r, k)`` per label, an (r+1)-subset of 1..n+1, numbered
+    label by label.  Face i drops the label's i-th element and takes face i
+    of the monomial: ``_face_words`` writes the inner faces into the block of
+    each face's label.  The outer faces, which delete strand 1 (face 0) or
+    strand r (face r), vanish where that strand occurs."""
+    words = [[_word(m, r) for m in basis_monomials(r, k)] for r in range(n + 1)]
+    labels = [list(itertools.combinations(range(1, n + 2), r + 1)) for r in range(n + 1)]
 
     def dmat(r: int) -> SparseMatrix:
-        src = bases[r]
-        tgt_index = {key: i for i, key in enumerate(bases[r - 1])}
+        size = len(words[r - 1])
+        block = {lab: {w: t * size + j for j, w in enumerate(words[r - 1])} for t, lab in enumerate(labels[r - 1])}
         columns = []
-        for lab, mono in src:
-            col = {}
-            for i in range(0, r + 1):
-                newlab = lab[:i] + lab[i + 1:]
-                sign = -1 if i % 2 else 1
-                for m, ic in _face_monomial(i, r, mono):
-                    key = tgt_index[(newlab, m)]
-                    col[key] = col.get(key, 0) + sign * ic
-            columns.append(col)
-        return SparseMatrix(len(bases[r - 1]), len(src), f, columns)
+        for lab in labels[r]:
+            faces = [block[lab[:i] + lab[i + 1:]] for i in range(r + 1)]
+            for w, col in zip(words[r], _face_words(r, words[r], faces)):
+                # strand 1 occurs as a tangent class or as a smaller neighbour, bytes 2 and 3
+                if not w[0] and 2 not in w and 3 not in w:
+                    t = faces[0][w[1:].translate(_SHRINK[0])]
+                    col[t] = col.get(t, 0) + 1
+                # strand r is nobody's smaller neighbour
+                if not w[-1]:
+                    t = faces[r][w[:-1]]
+                    col[t] = col.get(t, 0) + (-1) ** r
+                columns.append(col)
+        return SparseMatrix(len(block) * size, len(columns), f, columns)
 
     hs = homology_dim([dmat(r) for r in range(1, n + 1)])
-    return {r: h for r, h in enumerate(hs) if bases[r]}
+    return {r: h for r, h in enumerate(hs) if words[r]}

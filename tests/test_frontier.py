@@ -185,3 +185,24 @@ def test_e2_page_ten_five_is_unchanged_in_bounded_memory(field, tmp_path):
     assert {(e["col"], e["row"]): e["dim"] for e in page if e["dim"]} == nonzero
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert peak_kib <= 40 * 1024
+
+
+# sha256 of the stdout of `e2 --n 12 --k-max 6`, the largest e2 the capacity
+# check admits, taken while the expanded complex of kancheck still had a face
+# map of its own beside d1's walk
+E2_TWELVE_SIX = {
+    "fp:2": "18438f7482430c08d442e0906535f5c96aab623023d77a288d7115a3d9bc011a",
+    "fp:3": "82f77d35d7722cb7c83662f55e1473715f6060759d61794f1c0df424a1d0ef7e",
+    "q": "7f3f5b12d484b15afae3669f319ddb59ee2990604552ef0aef34f23fb10d9fb3",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", sorted(E2_TWELVE_SIX))
+def test_e2_page_twelve_six_is_unchanged(field, tmp_path):
+    # a cold e2 through row k = 6, every d1 walked on strand words (about
+    # 15-20 s over F_2, 27-42 s over F_3 and 45-70 s over Q, peaks about 440 MB)
+    out, _ = _run_for_peak(
+        "from spectral_knots.cli import main\n"
+        f"main(['--command', 'e2', '--n', '12', '--k-max', '6', '--field', '{field}'])\n", tmp_path)
+    assert hashlib.sha256(out.encode()).hexdigest() == E2_TWELVE_SIX[field]

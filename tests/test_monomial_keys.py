@@ -1,5 +1,6 @@
 """A monomial is its sorted factor tuple from basis to matrix: no module
-names an object wrapper for it, and no frozenset is left on the path."""
+names an object wrapper for it, and no frozenset is left on the path.  One
+face walk writes the faces of every Sinha complex."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,9 @@ from pathlib import Path
 PKG = Path(__file__).resolve().parent.parent / "src" / "spectral_knots"
 OBJECT_ALGEBRA = {"Monomial", "AlgebraElement"}
 REWRITE = {"_reduce_cached"}
+FACE_WALK = "_face_words"
+# d1, the kept matchings of the diagonal entry, and the expanded complex of kancheck
+FACE_SUMS = {"d1_matrix", "_kept_face_matrix", "_expanded_column_homology"}
 
 
 def _tree(module):
@@ -45,3 +49,20 @@ def test_no_frozenset_in_sinha_or_the_rewrite():
     assert {n.name for n in rewrite} == REWRITE
     for fn in rewrite:
         assert "frozenset" not in _names(fn), fn.name
+
+
+def _face_walk_users(tree):
+    """The top-level defs of a module that name the face walk."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and FACE_WALK in _identifiers(node) - {node.name}:
+            out.add(node.name)
+    return out
+
+
+def test_the_face_walk_is_the_only_face_map():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PKG.glob("*.py"))]
+    face_maps = {node.name for tree in trees for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.lstrip("_").startswith("face")}
+    assert face_maps == {FACE_WALK}
+    assert set().union(*map(_face_walk_users, trees)) == FACE_SUMS

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -31,7 +32,6 @@ from spectral_knots.linalg import CAPACITY_LIMIT, ComplexError, Field, SparseMat
 from spectral_knots.sinha import (
     CapacityError,
     ConsistencyError,
-    _face_monomial,
     d1_matrix,
     e2_diagonal,
     e2_page,
@@ -46,13 +46,44 @@ Q = Field()
 F2 = Field(2)
 
 
+class FaceRows(dict):
+    """The rows of inner face i: each strand word w is the row (i, w)."""
+
+    def __init__(self, i):
+        super().__init__()
+        self.i = i
+
+    def __missing__(self, word):
+        return self.i, word
+
+
+def walk_face(i, l, mono):
+    """Inner face i of a basic monomial on l strands as ``_face_words``
+    writes it, {factor tuple: nonzero int} without the sign (-1)^i, each face
+    looked up in rows of its own."""
+    (col,) = sinha._face_words(l, [sinha._word(mono, l)], [FaceRows(j) for j in range(l)])
+    return {monomial(w): (-1) ** i * c for (j, w), c in col.items() if j == i and c}
+
+
 def apply_face(i, l, x):
-    """Face i of a combination {factor tuple: int} on l strands."""
+    """Inner face i of a combination {factor tuple: int} on l strands."""
     out = {}
     for mono, c in x.items():
-        for m, k in _face_monomial(i, l, mono):
+        for m, k in walk_face(i, l, mono).items():
             out[m] = out.get(m, 0) + c * k
     return {m: c for m, c in out.items() if c}
+
+
+def expanded_column(n, k, r, label, mono, monkeypatch):
+    """The column of (label, mono) in the expanded differential of
+    ``kan_unit_check`` from degree r, as {(label, factor tuple): int}."""
+    ds = []
+    monkeypatch.setattr(sinha, "homology_dim", lambda d: ds.extend(d) or [0] * (len(d) + 1))
+    sinha._expanded_column_homology(n, k, Q)
+    blocks = [[(lab, m) for lab in itertools.combinations(range(1, n + 2), s + 1) for m in basis_monomials(s, k)]
+              for s in (r - 1, r)]
+    col = ds[r - 1].columns[blocks[1].index((label, mono))]
+    return {blocks[0][t]: v for t, v in col.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -61,52 +92,61 @@ def apply_face(i, l, x):
 
 def test_inner_face_merges_to_diagonal():
     # shrinking strands 1, 2 sends the separation class to the tangent class
-    assert _face_monomial(1, 2, ((1, 2),)) == ((((1, 1),), 1),)
+    assert walk_face(1, 2, ((1, 2),)) == {((1, 1),): 1}
 
 
 def test_inner_face_relabels():
-    assert _face_monomial(2, 3, ((1, 3),)) == ((((1, 2),), 1),)
-    assert _face_monomial(2, 3, ((2, 3),)) == ((((2, 2),), 1),)
+    assert walk_face(2, 3, ((1, 3),)) == {((1, 2),): 1}
+    assert walk_face(2, 3, ((2, 3),)) == {((2, 2),): 1}
 
 
-def test_outer_face_kills_boundary_strand():
-    assert _face_monomial(0, 2, ((1, 2),)) == ()
-    assert _face_monomial(0, 1, ((1, 1),)) == ()
-    assert _face_monomial(2, 2, ((1, 2),)) == ()
-    assert _face_monomial(0, 3, ((2, 3),)) == ((((1, 2),), 1),)
+def test_outer_face_kills_boundary_strand(monkeypatch):
+    # faces 0..3 of the expanded complex from degree 3, at n = 3 one label:
+    # face 0 deletes strand 1 and face 3 strand 3, each zero where it occurs
+    quad = (1, 2, 3, 4)
+    assert expanded_column(3, 1, 3, quad, ((2, 3),), monkeypatch) == {
+        ((2, 3, 4), ((1, 2),)): 1, ((1, 3, 4), ((1, 2),)): -1, ((1, 2, 4), ((2, 2),)): 1}
+    assert expanded_column(3, 1, 3, quad, ((1, 3),), monkeypatch) == {
+        ((1, 3, 4), ((1, 2),)): -1, ((1, 2, 4), ((1, 2),)): 1}
+    assert expanded_column(3, 1, 3, quad, ((1, 1),), monkeypatch) == {
+        ((1, 3, 4), ((1, 1),)): -1, ((1, 2, 4), ((1, 1),)): 1, ((1, 2, 3), ((1, 1),)): -1}
 
 
-def test_basic_face_image_leaves_the_rewrite_memo_alone():
+def test_face_walk_leaves_the_rewrite_memo_alone():
     # shrinking strands 1, 2 of g(1,2) g(2,3) gives g(1,1) g(1,2), already basic
     before = _reduce_cached.cache_info()
-    assert _face_monomial(1, 3, ((1, 2), (2, 3))) == ((((1, 1), (1, 2)), 1),)
+    assert walk_face(1, 3, ((1, 2), (2, 3))) == {((1, 1), (1, 2)): 1}
     # shrinking strands 2, 3 of g(1,2) g(1,3) squares g(1,2): it vanishes
-    assert _face_monomial(2, 3, ((1, 2), (1, 3))) == ()
+    assert walk_face(2, 3, ((1, 2), (1, 3))) == {}
     # shrinking strands 3, 4 of g(1,4) g(2,3) gives g(1,3) g(2,3), which is
-    # not: the face map, which serves at most three strands, refuses it
-    with pytest.raises(ValueError, match=re.escape("face 3 of ((1, 4), (2, 3)) is not basic")):
-        _face_monomial(3, 4, ((1, 4), (2, 3)))
+    # not: one Arnold step, written in closed form
+    chain = walk_face(3, 4, ((1, 4), (2, 3)))
+    assert chain == {((1, 2), (2, 3)): 1, ((1, 2), (1, 3)): -1} == face(3, 4, ((1, 4), (2, 3)))
     assert _reduce_cached.cache_info() == before
 
 
 def test_face_index_range():
-    with pytest.raises(ValueError):
-        _face_monomial(3, 2, ((1, 2),))
-    with pytest.raises(ValueError):
-        _face_monomial(-1, 2, ((1, 2),))
+    # the walk looks up the rows of the inner faces 1..l-1 alone: the outer
+    # faces 0 and l are its callers', and a lookup there would raise
+    for l, mono in [(3, ((1, 3),)), (4, ((1, 4), (2, 3)))] + STAIRS:
+        rows = [None] + [FaceRows(i) for i in range(1, l)]
+        (col,) = sinha._face_words(l, [sinha._word(mono, l)], rows)
+        assert {i for (i, _), c in col.items() if c} == {i for i in range(1, l) if face(i, l, mono)}, (l, mono)
 
 
 def test_simplicial_face_identity():
-    # d_i d_j = d_{j-1} d_i for i < j, exercised on every generator
+    # d_i d_j = d_{j-1} d_i for inner faces i < j, on random basic monomials
+    # whose face j takes an Arnold chain (j >= 3); the outer faces meet them
+    # in the d * d = 0 checks of the expanded complex below
     rng = random.Random(3)
-    for _ in range(40):
-        l = rng.randint(2, 5)
-        i, j = sorted(rng.sample(range(0, l + 1), 2))
-        a, b = sorted((rng.randint(1, l), rng.randint(1, l)))
-        x = {((a, b),): 1}
+    for _ in range(60):
+        l = rng.randint(4, 7)
+        j = rng.randint(3, l - 1)
+        i = rng.randint(1, j - 1)
+        x = {rng.choice([m for m in basis_monomials(l, rng.randint(2, 4)) if rewrite_steps(j, l, m)]): 1}
         lhs = apply_face(i, l - 1, apply_face(j, l, x))
         rhs = apply_face(j - 1, l - 1, apply_face(i, l, x))
-        assert lhs == rhs, (l, i, j, a, b)
+        assert lhs == rhs, (l, i, j, x)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +203,8 @@ def test_d1_raises_on_a_face_term_outside_the_basis(monkeypatch):
     leaked = ((1, 2), (2, 3))  # face 2 of ((1, 2), (3, 4)), among others
     assert leaked in normalized_basis(3, 2)
 
-    def leaky(l, sources, words, rows):
-        return walk(l, sources, words, {w: r for w, r in rows.items() if w != sinha._word(leaked, l - 1)})
+    def leaky(l, words, rows):
+        return walk(l, words, [{w: r for w, r in rows[1].items() if w != sinha._word(leaked, l - 1)}] * l)
 
     monkeypatch.setattr(sinha, "_face_words", leaky)
     with pytest.raises(ConsistencyError, match=re.escape(f"face image term {leaked!r} of ((")):
@@ -270,7 +310,7 @@ class Numbering(dict):
 def assert_word_walk_is_the_face_sum(l, mono):
     assert monomial(sinha._word(mono, l)) == mono
     rows = Numbering()
-    (col,) = sinha._face_words(l, [mono], [sinha._word(mono, l)], rows)
+    (col,) = sinha._face_words(l, [sinha._word(mono, l)], [rows] * l)
     words = list(rows)
     assert {monomial(words[r]): c for r, c in col.items() if c} == face_sum(l, mono)
 
@@ -316,7 +356,7 @@ def test_d1_is_the_face_monomial_matrix():
             assert d1_matrix(l, k, field) == SparseMatrix(want.rows, want.cols, field, want.columns), (l, k, field)
 
 
-def test_d1_enters_neither_the_face_map_nor_the_rewrite_memo(monkeypatch):
+def test_d1_never_enters_the_rewrite_memo(monkeypatch):
     # every face is written in closed form, chains included: on the matrices
     # of e2 --n 8 --k-max 4, 164 of the 6142 inner faces take two or more
     # rewrite steps
@@ -328,7 +368,6 @@ def test_d1_enters_neither_the_face_map_nor_the_rewrite_memo(monkeypatch):
         raise AssertionError(f"entered with {args!r}")
 
     monkeypatch.setattr(conf_algebra, "_reduce_cached", refuse)
-    monkeypatch.setattr(sinha, "_face_monomial", refuse)
     assert set(pairs) <= set(SMALL_D1)
     for l, k in SMALL_D1:
         d1_matrix(l, k, Q)
@@ -704,16 +743,26 @@ def test_kan_unit_check_n2(field):
 
 
 def test_kan_corrupted_sign_detected(monkeypatch):
-    # cancel the alternating sign of the odd faces: d * d no longer vanishes
-    face = sinha._face_monomial
+    # negate every inner face sum and keep the outer faces: d * d no longer
+    # vanishes on the expanded complex (d1, negated as a whole, still squares to 0)
+    walk = sinha._face_words
+    monkeypatch.setattr(sinha, "_face_words", lambda l, words, rows: ({r: -c for r, c in col.items()}
+                                                                       for col in walk(l, words, rows)))
+    for n in (2, 3):
+        with pytest.raises(ComplexError, match=re.escape("d_1 * d_2 != 0")):
+            kan_unit_check(n, 2, Q)
 
-    def unsigned(i, l, factors):
-        img = face(i, l, factors)
-        return tuple((m, -c) for m, c in img) if i % 2 else img
 
-    monkeypatch.setattr(sinha, "_face_monomial", unsigned)
-    with pytest.raises(ComplexError):
-        kan_unit_check(2, 2, Q)
+# at n = 4 and 5 faces of the expanded complex take Arnold chains: the CLI
+# stops kancheck at n = 3, so these check the library below it
+@pytest.mark.parametrize("field", [Q, F2])
+@pytest.mark.parametrize("n", [4, 5])
+def test_expanded_complex_past_the_cli_cap_is_the_plain_one(n, field):
+    chains = sum(rewrite_steps(i, n, m) > 0 for k in range(2 * n) for m in basis_monomials(n, k) for i in range(1, n))
+    assert chains == {4: 48, 5: 1344}[n]
+    for k in range(2 * n):
+        plain = {l: h for l, h in enumerate(column_homology(n, k, field)) if normalized_basis(l, k)}
+        assert nonzero(sinha._expanded_column_homology(n, k, field)) == nonzero(plain), (n, k, field)
 
 
 @pytest.mark.parametrize("field", [Q, F2])
