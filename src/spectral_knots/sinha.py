@@ -7,23 +7,26 @@ The column differential is the alternating sum of face maps.  Homology of
 the columns gives the second-page dimension table; the standard degree
 shift relabels it as the first page of the discriminant-side sequence.
 
-A monomial is its sorted factor tuple in the basis, and its strand word,
-one byte per strand (``_word``), on the way through a face.  One walk,
-``_face_words``, writes every inner face of every Sinha complex in closed
-form, a chain of Arnold steps included, each term straight into its row:
-the columns of ``d1_matrix``, the kept perfect matchings of the diagonal
-entry, and the labelled blocks of the expanded complex of
-``kan_unit_check``, whose outer faces take a few lines on words besides.
-No face goes through the rewrite memo.  Face map conventions
-(validated by d1*d1 = 0 and by the chord-diagram cross-check, see tests):
+A monomial is its strand word, one byte per strand (``_word``), from basis
+to matrix.  Each normalized column is enumerated once, by one depth-first
+search that writes its strand words in ``basis_order`` (``_basis_words``,
+a pure memo of (l, k)); ``normalized_basis`` decodes them into sorted
+factor tuples for library callers.  One walk, ``_face_words``, writes every
+inner face of every Sinha complex in closed form, a chain of Arnold steps
+included, each term straight into its row: the columns of ``d1_matrix``,
+the kept perfect matchings of the diagonal entry, and the labelled blocks
+of the expanded complex of ``kan_unit_check``, whose outer faces take a
+few lines on words besides.  No face goes through the rewrite memo.  Face
+map conventions (validated by d1*d1 = 0 and by the chord-diagram
+cross-check, see tests):
 
 * inner face i (1 <= i <= l-1): relabel strands along the surjection
   {1..l} -> {1..l-1} shrinking {i, i+1}; a factor g(i, i+1) becomes the
   tangent class g(i, i).
 * outer faces i = 0 and i = l: the boundary strand is deleted; any factor
   touching it pulls back to zero.  On normalized columns the outer faces
-  therefore vanish identically (checked by strand occurrence: each source
-  of d1 must touch strands 1 and l, ``_normalized_words``).
+  therefore vanish identically (checked by strand occurrence on words:
+  each source of d1 must touch strands 1 and l, ``_normalized_words``).
 """
 
 import itertools
@@ -31,7 +34,7 @@ from collections import defaultdict
 from functools import lru_cache
 from math import comb
 
-from .conf_algebra import basis_monomials, basis_order, dim_Y
+from .conf_algebra import basis_monomials, dim_Y
 from .linalg import CAPACITY_LIMIT, CapacityError, ConsistencyError, Field, SparseMatrix, homology_dim
 
 
@@ -40,63 +43,102 @@ def normalized_dim_formula(l: int, k: int) -> int:
     return sum((-1) ** j * comb(l, j) * dim_Y(l - j, k) for j in range(l + 1))
 
 
-@lru_cache(maxsize=None)
 def normalized_basis(l: int, k: int) -> tuple:
     """Basic monomials of degree 2k on l strands in which every strand occurs,
-    as sorted factor tuples in ``basis_order``.
+    as sorted factor tuples in ``basis_order``: the strand words of
+    ``_basis_words(l, k)`` decoded, in their order.
 
     These span the l-th normalized column: monomials missing a strand are
-    exactly the degeneracy images.  A search picks e forest edges (a, b),
-    a < b, by distinct b descending, pruned once the edges still to come
-    (two strands each) and the diagonals left cannot cover the strands 1..b
-    still uncovered; the k - e diagonals take every uncovered strand and any
-    choice of the covered ones.  Within one set of diagonal strands
-    ``basis_order`` is plain tuple order, so the monomials are bucketed by
-    that set, each bucket sorted without a key, and the buckets joined in
-    ``basis_order``.
+    exactly the degeneracy images.
+    """
+    return tuple(map(_monomial, _basis_words(l, k)))
+
+
+@lru_cache(maxsize=None)
+def _basis_words(l: int, k: int) -> tuple:
+    """Strand words (``_word``) of the basic monomials of degree 2k on l
+    strands in which every strand occurs, in ``basis_order``: each normalized
+    column enumerated once, by one depth-first search writing one word in
+    place.
+
+    The search first takes the tangent classes, strand 1's, then strand 2's
+    and so on, each on before off, which gives the sets of diagonal strands
+    in ``basis_order``.  Then it takes the k - d forest edges (a, b), a < b,
+    in ascending order with distinct ends b, pruned once a has passed a
+    strand no factor covers (no later edge can reach it), or once the
+    uncovered strands are more than twice the edges left; the last edge is
+    written without a further call.  Within one set of diagonals every edge
+    list has the same length, and the factor tuples compare as their edge
+    lists do, so the words come out in ``basis_order`` with no sort.  The
+    order is that of d1's rows and columns, and the ranks depend on it: in
+    sorted-byte order the F_2 page through k = 6 takes two to three times as
+    long.
     """
     if l == 0:
-        return ((),) if k == 0 else ()
-    buckets = {}  # diagonal factors -> monomials
-    covers = [0] * (l + 1)  # edges chosen so far touching each strand
-    edges = []
-    diagonal = [(x, x) for x in range(l + 1)]
+        return (b"",) if k == 0 else ()
+    # d diagonals and k - d edges, at most l - 1, covering the l - d other strands
+    dmin, dmax = max(0, k - l + 1), min(k, l, 2 * k - l)
+    out = []
+    emit = out.append
+    w = bytearray(l)  # a byte over 1 holds a smaller neighbour: that strand ends an edge
+    cover = [0] * (l + 2)  # factors touching each strand; cover[l + 1] stays 0 and ends every scan
 
-    def rec(b, e_left, uncovered, diag_left):
-        # uncovered: strands 1..b touching no edge; diag_left: diagonals not yet forced
-        if uncovered - 2 * e_left > diag_left:
-            return
-        if e_left == 0:
-            free = [diagonal[s] for s in range(1, l + 1) if not covers[s]]
-            covered = [diagonal[s] for s in range(1, l + 1) if covers[s]]
-            for extra in itertools.combinations(covered, diag_left - uncovered):
-                diag = sorted(free + list(extra))
-                buckets.setdefault(tuple(diag), []).append(tuple(sorted(diag + edges)))
-            return
-        if b < 2:
-            return
-        b_free = covers[b] == 0
-        below = uncovered - b_free
-        covers[b] += 1
-        for a in range(1, b):
-            a_free = covers[a] == 0
-            covers[a] += 1
-            edges.append((a, b))
-            rec(b - 1, e_left - 1, below - a_free, diag_left)
-            edges.pop()
-            covers[a] -= 1
-        covers[b] -= 1
-        # skip b entirely: if b is still uncovered it now needs a diagonal
-        if diag_left >= b_free:
-            rec(b - 1, e_left, below, diag_left - b_free)
+    def last(a0, b0, unc):
+        # the last edge, at least (a0, b0), covers the unc <= 2 strands left;
+        # the strands below the first uncovered one, m, are covered
+        m = a0
+        while cover[m]:
+            m += 1
+        for a in range(a0, min(m, l - 1) + 1):
+            for b in range(b0 if a == a0 else a + 1, l + 1):
+                if w[b - 1] < 2 and (a == m) + (not cover[b]) == unc:
+                    t = w[b - 1]
+                    w[b - 1] = t + 2 * a
+                    emit(bytes(w))
+                    w[b - 1] = t
 
-    # e forest edges (at most l - 1) and k - e diagonals (at most l)
-    for e in range(max(0, k - l), min(k, l - 1) + 1):
-        rec(l, e, l, k - e)
-    for bucket in buckets.values():
-        bucket.sort()
-    # monomials with distinct diagonal strands differ in basis_order before the factors
-    return tuple(itertools.chain.from_iterable(buckets[d] for d in sorted(buckets, key=basis_order)))
+    def edges(a0, b0, left, unc):
+        # strands below a0 are covered; the next edge is at least (a0, b0)
+        if left == 1:
+            return last(a0, b0, unc)
+        m = a0
+        while cover[m]:
+            m += 1
+        rest = 2 * (left - 1)
+        for a in range(a0, min(m, l - 1) + 1):
+            fa = not cover[a]
+            cover[a] += 1
+            for b in range(b0 if a == a0 else a + 1, l + 1):
+                u = unc - fa - (not cover[b])
+                if w[b - 1] > 1 or u > rest:
+                    continue
+                cover[b] += 1
+                w[b - 1] += 2 * a
+                edges(a, b + 1, left - 1, u)
+                w[b - 1] -= 2 * a
+                cover[b] -= 1
+            cover[a] -= 1
+
+    def diagonals(s, d):
+        # the tangent classes of strands 1..s-1 are set, d of them on
+        if s > l:
+            left, unc = k - d, l - d
+            if not left:
+                if not unc:
+                    emit(bytes(w))
+            elif unc <= 2 * left:
+                edges(1, 2, left, unc)
+            return
+        if d < dmax:
+            w[s - 1] = cover[s] = 1
+            diagonals(s + 1, d + 1)
+            w[s - 1] = cover[s] = 0
+        if d + l - s >= dmin:
+            diagonals(s + 1, d)
+
+    if dmin <= dmax:
+        diagonals(1, 0)
+    return tuple(out)
 
 
 _BYTES = tuple(bytes((v,)) for v in range(256))
@@ -120,15 +162,22 @@ def _word(mono: tuple, l: int) -> bytes:
     return bytes(w)
 
 
-def _normalized_words(l: int, src) -> list:
-    """Strand words of normalized monomials on l strands.  Their outer faces,
-    which delete strand 1 or l, vanish: a monomial missing either raises
-    ``ConsistencyError``."""
-    words = [_word(m, l) for m in src]
-    for m, w in zip(src, words):
-        # the factors are sorted, so strand 1 occurs iff the first factor starts at 1
-        if not w[-1] or m[0][0] != 1:
-            raise ConsistencyError(f"normalized monomial {m!r} misses strand 1 or {l}: an outer face is nonzero")
+def _monomial(word: bytes) -> tuple:
+    """Sorted factor tuple of a strand word, the inverse of ``_word``."""
+    return tuple(sorted([(x >> 1, v) for v, x in enumerate(word, 1) if x > 1] +
+                        [(v, v) for v, x in enumerate(word, 1) if x & 1]))
+
+
+def _normalized_words(l: int, words):
+    """Strand words of normalized monomials on l strands, checked.  Their
+    outer faces, which delete strand 1 or l, vanish: a word missing either
+    raises ``ConsistencyError``."""
+    for w in words:
+        # strand 1 occurs as a tangent class or as a smaller neighbour (bytes
+        # 2 and 3); strand l is nobody's smaller neighbour
+        if not w[-1] or not (w[0] or 2 in w or 3 in w):
+            raise ConsistencyError(f"normalized monomial {_monomial(w)!r} misses strand 1 or {l}: "
+                                   "an outer face is nonzero")
     return words
 
 
@@ -203,29 +252,27 @@ def _face_words(l: int, words, rows):
                 r = rows[i][w[:i - 1] + _BYTES[merged] + w[i + 1:].translate(_SHRINK[i])]
                 acc[r] = acc.get(r, 0) + sign
         except KeyError as exc:
-            # the factor tuples of the missing term and of its source, words decoded
-            term, mono = (tuple(sorted([(x >> 1, v) for v, x in enumerate(u, 1) if x > 1] +
-                                       [(v, v) for v, x in enumerate(u, 1) if x & 1])) for u in (exc.args[0], w))
-            raise ConsistencyError(f"face image term {term!r} of {mono!r} is not in the target basis") from None
+            raise ConsistencyError(f"face image term {_monomial(exc.args[0])!r} of {_monomial(w)!r} "
+                                   "is not in the target basis") from None
         yield acc
 
 
 def d1_matrix(l: int, k: int, f: Field) -> SparseMatrix:
     """Matrix of the alternating face sum from column l to column l-1.
 
-    Bases are ``normalized_basis(l, k)`` (columns) and
-    ``normalized_basis(l-1, k)`` (rows); the inner faces are walked by
-    ``_face_words`` on strand words, each term written straight into its
-    row, in closed form and never through the rewrite memo, and the outer
-    faces vanish (``_normalized_words``).  An inner face maps covered
-    strands onto covered strands and the rewrite keeps each term's strands,
-    so every term of the image lies in the target basis; a term outside it
-    raises ``ConsistencyError``.
+    Columns and rows are the strand words of ``_basis_words(l, k)`` and
+    ``_basis_words(l-1, k)``, in ``basis_order``, so the bases are those of
+    ``normalized_basis``; the inner faces are walked by ``_face_words``, each
+    term written straight into its row, in closed form and never through the
+    rewrite memo, and the outer faces vanish (``_normalized_words``).  An
+    inner face maps covered strands onto covered strands and the rewrite
+    keeps each term's strands, so every term of the image lies in the target
+    basis; a term outside it raises ``ConsistencyError``.
     """
     if l < 1:
         raise ValueError("d1 needs a positive column index")
-    src = normalized_basis(l, k)
-    rows = {_word(m, l - 1): r for r, m in enumerate(normalized_basis(l - 1, k))}
+    src = _basis_words(l, k)
+    rows = {w: r for r, w in enumerate(_basis_words(l - 1, k))}
     return SparseMatrix(len(rows), len(src), f, list(_face_words(l, _normalized_words(l, src), [rows] * l)))
 
 
@@ -352,7 +399,7 @@ def _kept_face_matrix(l: int, f: Field) -> SparseMatrix:
         if any(b == a + 1 for a, b in m):
             raise ConsistencyError(f"kept source {m!r} has a factor (i, i+1): one face is a tangent class")
     first = defaultdict(lambda: len(first))
-    cols = list(_face_words(l, _normalized_words(l, src), [first] * l))
+    cols = list(_face_words(l, _normalized_words(l, [_word(m, l) for m in src]), [first] * l))
     hit = {j for col in cols for j, v in col.items() if v}
     number = [0] * len(first)
     for r, (_, j) in enumerate(sorted((w, j) for w, j in first.items() if j in hit)):

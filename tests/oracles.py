@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 
 from spectral_knots.chords import _matchings, enumerate_diagrams, one_term_relations
-from spectral_knots.conf_algebra import basis_monomials, dim_Y
+from spectral_knots.conf_algebra import basis_monomials, basis_order, dim_Y
 from spectral_knots.linalg import ConsistencyError, Field, SparseMatrix
 from spectral_knots.sinha import normalized_basis
 
@@ -215,6 +215,17 @@ def in_relation_span(l: int, k: int, field: Field, extra_row: dict) -> bool:
     base = word_quotient_matrix(l, k, field)
     extended = word_quotient_matrix(l, k, field, extra_rows=[extra_row])
     return extended.rank() == base.rank()
+
+
+# ---------------------------------------------------------------------------
+# normalized column basis, filtered from the full one
+
+
+def every_strand_monomials(l: int, k: int) -> list:
+    """The basic monomials of degree 2k on l strands in which every strand
+    occurs: ``basis_monomials(l, k)`` filtered, then sorted by ``basis_order``."""
+    every = set(range(1, l + 1))
+    return sorted([m for m in basis_monomials(l, k) if {s for p in m for s in p} == every], key=basis_order)
 
 
 # ---------------------------------------------------------------------------

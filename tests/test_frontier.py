@@ -98,13 +98,14 @@ def _run_for_peak(script, tmp_path):
 @pytest.mark.slow
 def test_largest_k_six_column_bases_fit_in_memory(tmp_path):
     # the two largest columns that e2 --n 12 --k-max 6 builds, held together
-    # as its basis cache holds them (about 0.8 s, peak about 46 MB)
+    # as strand words, as its basis memo holds them (about 0.5 s, peak about
+    # 26 MB)
     out, peak_kib = _run_for_peak(
-        "from spectral_knots.sinha import normalized_basis\n"
-        "print(*[len(normalized_basis(l, 6)) for l in (9, 10)])\n", tmp_path)
+        "from spectral_knots.sinha import _basis_words\n"
+        "print(*[len(_basis_words(l, 6)) for l in (9, 10)])\n", tmp_path)
     assert [int(x) for x in out.split()] == [normalized_dim_formula(l, 6) for l in (9, 10)] == [86912, 83475]
     assert max(normalized_dim_formula(l, 6) for l in range(13)) == 86912
-    assert peak_kib < 64 * 1024
+    assert peak_kib < 32 * 1024
 
 
 def test_degree_six_crosscheck_over_f2_fits_in_memory(tmp_path):
@@ -201,7 +202,7 @@ E2_TWELVE_SIX = {
 @pytest.mark.parametrize("field", sorted(E2_TWELVE_SIX))
 def test_e2_page_twelve_six_is_unchanged(field, tmp_path):
     # a cold e2 through row k = 6, every d1 walked on strand words (about
-    # 15-20 s over F_2, 27-42 s over F_3 and 45-70 s over Q, peaks about 440 MB)
+    # 13-19 s over F_2, 27-42 s over F_3 and 45-70 s over Q, peaks about 365-410 MB)
     out, _ = _run_for_peak(
         "from spectral_knots.cli import main\n"
         f"main(['--command', 'e2', '--n', '12', '--k-max', '6', '--field', '{field}'])\n", tmp_path)

@@ -1,6 +1,9 @@
-"""A monomial is its sorted factor tuple from basis to matrix: no module
-names an object wrapper for it, and no frozenset is left on the path.  One
-face walk writes the faces of every Sinha complex."""
+"""A monomial is its strand word from basis to matrix, and its sorted
+factor tuple in the library's answers: no module names an object wrapper
+for it, and no frozenset is left on the path.  Each normalized column is
+enumerated once, as strand words, by the one memo in ``sinha``, which
+``d1_matrix`` reads without encoding or decoding a monomial.  One face walk
+writes the faces of every Sinha complex."""
 
 import ast
 from pathlib import Path
@@ -11,6 +14,7 @@ REWRITE = {"_reduce_cached"}
 FACE_WALK = "_face_words"
 # d1, the kept matchings of the diagonal entry, and the expanded complex of kancheck
 FACE_SUMS = {"d1_matrix", "_kept_face_matrix", "_expanded_column_homology"}
+BASIS_MEMO = "_basis_words"
 
 
 def _tree(module):
@@ -66,3 +70,22 @@ def test_the_face_walk_is_the_only_face_map():
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.lstrip("_").startswith("face")}
     assert face_maps == {FACE_WALK}
     assert set().union(*map(_face_walk_users, trees)) == FACE_SUMS
+
+
+def _is_lru_cache(decorator):
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (target.id if isinstance(target, ast.Name) else getattr(target, "attr", None)) == "lru_cache"
+
+
+def test_the_word_search_is_the_one_memo_in_sinha():
+    tree = _tree("sinha.py")
+    cached = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and any(map(_is_lru_cache, node.decorator_list))}
+    assert cached == {BASIS_MEMO}
+
+
+def test_d1_reads_the_basis_words_as_they_are():
+    (d1,) = [n for n in _tree("sinha.py").body if isinstance(n, ast.FunctionDef) and n.name == "d1_matrix"]
+    names = _identifiers(d1)
+    assert BASIS_MEMO in names
+    assert not names & {"_word", "_monomial", "normalized_basis"}

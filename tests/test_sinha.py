@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from oracles import (
     default_choice,
     degeneracy_quotient_dim,
+    every_strand_monomials,
     face,
     face_monomial_d1,
     face_sum,
@@ -26,7 +27,7 @@ from oracles import (
     rewrite_step,
     shared_larger,
 )
-from spectral_knots.conf_algebra import _reduce_cached, basis_monomials
+from spectral_knots.conf_algebra import _reduce_cached, basis_monomials, basis_order, dim_Y
 from spectral_knots import conf_algebra, sinha
 from spectral_knots.linalg import CAPACITY_LIMIT, ComplexError, Field, SparseMatrix
 from spectral_knots.sinha import (
@@ -171,14 +172,42 @@ def test_normalized_basis_empty_above_two_k():
                 assert normalized_basis(l, k) == ()
 
 
+# every (l, k) with l <= 10 and k <= 6, and those of them whose full basis is
+# small enough to filter (68 of the 77; the other nine hold 79470 to 7592465
+# basic monomials)
+BASIS_PAIRS = [(l, k) for l in range(0, 11) for k in range(0, 7)]
+FILTERED_PAIRS = [(l, k) for l, k in BASIS_PAIRS if dim_Y(l, k) <= 50000]
+
+
 def test_normalized_basis_is_filtered_full_basis():
-    # the pruned forest search enumerates exactly the basic monomials in
-    # which every strand occurs, in the same order
-    for l in range(0, 8):
-        for k in range(0, 5):
-            every_strand = set(range(1, l + 1))
-            expected = [m for m in basis_monomials(l, k) if {s for p in m for s in p} == every_strand]
-            assert list(normalized_basis(l, k)) == expected, (l, k)
+    # the word search enumerates exactly the basic monomials in which every
+    # strand occurs, in basis_order, and normalized_basis decodes them in
+    # turn; the order of the words is that of d1's rows and columns, which
+    # the F_2 ranks depend on: with the words in sorted-byte order,
+    # e2 --n 12 --k-max 6 --field fp:2 took two to three times as long
+    assert len(FILTERED_PAIRS) == 68
+    for l, k in FILTERED_PAIRS:
+        want = every_strand_monomials(l, k)
+        assert list(sinha._basis_words(l, k)) == [sinha._word(m, l) for m in want], (l, k)
+        assert list(normalized_basis(l, k)) == want, (l, k)
+
+
+def test_large_basis_words_are_each_normalized_monomial_once_in_basis_order():
+    # past the filtered pairs: distinct words of basic monomials of degree 2k
+    # in which every strand occurs, as many as inclusion-exclusion counts, so
+    # every such monomial exactly once, and in strictly increasing basis_order
+    large = [(l, k) for l, k in BASIS_PAIRS if (l, k) not in FILTERED_PAIRS]
+    assert [(l, k) for l, k in large if inclusion_exclusion_dim(l, k)] == [(7, 6), (8, 5), (8, 6), (9, 5), (9, 6),
+                                                                        (10, 5), (10, 6)]
+    for l, k in large:
+        words = sinha._basis_words(l, k)
+        assert len(set(words)) == len(words) == inclusion_exclusion_dim(l, k), (l, k)
+        every, last = set(range(1, l + 1)), ()
+        for w in words:
+            m = sinha._monomial(w)
+            assert sinha._word(m, l) == w and len(set(m)) == len(m) == k and is_basic(m), (l, k, m)
+            assert {s for p in m for s in p} == every and basis_order(m) > last, (l, k, m)
+            last = basis_order(m)
 
 
 def test_normalized_triple_agreement_small():
@@ -215,8 +244,9 @@ def test_d1_raises_on_a_face_term_outside_the_basis(monkeypatch):
 def test_d1_raises_on_a_source_missing_an_outer_strand(monkeypatch, source):
     # a source missing strand 1 has a nonzero face 0, one missing strand l a
     # nonzero face l: neither is a normalized monomial
-    real = sinha.normalized_basis
-    monkeypatch.setattr(sinha, "normalized_basis", lambda l, k: real(l, k) + (source,) if (l, k) == (4, 2) else real(l, k))
+    real = sinha._basis_words
+    monkeypatch.setattr(sinha, "_basis_words",
+                        lambda l, k: real(l, k) + (sinha._word(source, l),) if (l, k) == (4, 2) else real(l, k))
     with pytest.raises(ConsistencyError, match=re.escape(f"normalized monomial {source!r} misses strand 1 or 4")):
         d1_matrix(4, 2, Q)
 
@@ -705,9 +735,9 @@ def test_e2_builds_no_column_above_two_k_plus_one(monkeypatch):
 
 
 def test_column_homology_rejects_a_nonempty_column_above_two_k(monkeypatch):
-    real = sinha.normalized_basis
-    fake = (((1, 3),),)  # touches both boundary strands
-    monkeypatch.setattr(sinha, "normalized_basis", lambda l, k: fake if (l, k) == (3, 1) else real(l, k))
+    real = sinha._basis_words
+    fake = (sinha._word(((1, 3),), 3),)  # touches both boundary strands
+    monkeypatch.setattr(sinha, "_basis_words", lambda l, k: fake if (l, k) == (3, 1) else real(l, k))
     with pytest.raises(ConsistencyError, match="should be empty"):
         column_homology(3, 1, F2)
 
