@@ -11,22 +11,21 @@ A monomial is its strand word, one byte per strand (``_word``), from basis
 to matrix.  Each normalized column is enumerated once, by one depth-first
 search that writes its strand words in ``basis_order`` (``_basis_words``,
 a pure memo of (l, k)); ``normalized_basis`` decodes them into sorted
-factor tuples for library callers.  One walk, ``_face_words``, writes every
-inner face of every Sinha complex in closed form, a chain of Arnold steps
-included, each term straight into its row: the columns of ``d1_matrix``,
-the kept perfect matchings of the diagonal entry, and the labelled blocks
-of the expanded complex of ``kan_unit_check``, whose outer faces take a
-few lines on words besides.  No face goes through the rewrite memo.  Face
-map conventions (validated by d1*d1 = 0 and by the chord-diagram
-cross-check, see tests):
+factor tuples for library callers.  One walk, ``_face_words``, writes the
+whole alternating face sum of every Sinha complex in closed form, a chain
+of Arnold steps included, each term straight into its row: the columns of
+``d1_matrix``, the kept perfect matchings of the diagonal entry, and the
+labelled blocks of the expanded complex of ``kan_unit_check``.  No face
+goes through the rewrite memo.  Face map conventions (validated by
+d1*d1 = 0 and by the chord-diagram cross-check, see tests):
 
 * inner face i (1 <= i <= l-1): relabel strands along the surjection
   {1..l} -> {1..l-1} shrinking {i, i+1}; a factor g(i, i+1) becomes the
   tangent class g(i, i).
 * outer faces i = 0 and i = l: the boundary strand is deleted; any factor
   touching it pulls back to zero.  On normalized columns the outer faces
-  therefore vanish identically (checked by strand occurrence on words:
-  each source of d1 must touch strands 1 and l, ``_normalized_words``).
+  therefore vanish identically: d1 and the diagonal entry give the walk no
+  index for them, and a source missing strand 1 or l raises.
 """
 
 import itertools
@@ -66,13 +65,12 @@ def _basis_words(l: int, k: int) -> tuple:
     in ``basis_order``.  Then it takes the k - d forest edges (a, b), a < b,
     in ascending order with distinct ends b, pruned once a has passed a
     strand no factor covers (no later edge can reach it), or once the
-    uncovered strands are more than twice the edges left; the last edge is
-    written without a further call.  Within one set of diagonals every edge
-    list has the same length, and the factor tuples compare as their edge
-    lists do, so the words come out in ``basis_order`` with no sort.  The
-    order is that of d1's rows and columns, and the ranks depend on it: in
-    sorted-byte order the F_2 page through k = 6 takes two to three times as
-    long.
+    uncovered strands are more than twice the edges left, and writes a word
+    when no edge is left.  Within one set of diagonals every edge list has
+    the same length, and the factor tuples compare as their edge lists do,
+    so the words come out in ``basis_order`` with no sort.  The order is
+    that of d1's rows and columns, and the ranks depend on it: in sorted-byte
+    order the F_2 page through k = 6 takes two to three times as long.
     """
     if l == 0:
         return (b"",) if k == 0 else ()
@@ -83,24 +81,11 @@ def _basis_words(l: int, k: int) -> tuple:
     w = bytearray(l)  # a byte over 1 holds a smaller neighbour: that strand ends an edge
     cover = [0] * (l + 2)  # factors touching each strand; cover[l + 1] stays 0 and ends every scan
 
-    def last(a0, b0, unc):
-        # the last edge, at least (a0, b0), covers the unc <= 2 strands left;
-        # the strands below the first uncovered one, m, are covered
-        m = a0
-        while cover[m]:
-            m += 1
-        for a in range(a0, min(m, l - 1) + 1):
-            for b in range(b0 if a == a0 else a + 1, l + 1):
-                if w[b - 1] < 2 and (a == m) + (not cover[b]) == unc:
-                    t = w[b - 1]
-                    w[b - 1] = t + 2 * a
-                    emit(bytes(w))
-                    w[b - 1] = t
-
     def edges(a0, b0, left, unc):
-        # strands below a0 are covered; the next edge is at least (a0, b0)
-        if left == 1:
-            return last(a0, b0, unc)
+        # strands below a0 are covered, and every strand once no edge is left;
+        # the next edge is at least (a0, b0)
+        if not left:
+            return emit(bytes(w))
         m = a0
         while cover[m]:
             m += 1
@@ -122,12 +107,8 @@ def _basis_words(l: int, k: int) -> tuple:
     def diagonals(s, d):
         # the tangent classes of strands 1..s-1 are set, d of them on
         if s > l:
-            left, unc = k - d, l - d
-            if not left:
-                if not unc:
-                    emit(bytes(w))
-            elif unc <= 2 * left:
-                edges(1, 2, left, unc)
+            if l - d <= 2 * (k - d):
+                edges(1, 2, k - d, l - d)
             return
         if d < dmax:
             w[s - 1] = cover[s] = 1
@@ -168,28 +149,21 @@ def _monomial(word: bytes) -> tuple:
                         [(v, v) for v, x in enumerate(word, 1) if x & 1]))
 
 
-def _normalized_words(l: int, words):
-    """Strand words of normalized monomials on l strands, checked.  Their
-    outer faces, which delete strand 1 or l, vanish: a word missing either
-    raises ``ConsistencyError``."""
-    for w in words:
-        # strand 1 occurs as a tangent class or as a smaller neighbour (bytes
-        # 2 and 3); strand l is nobody's smaller neighbour
-        if not w[-1] or not (w[0] or 2 in w or 3 in w):
-            raise ConsistencyError(f"normalized monomial {_monomial(w)!r} misses strand 1 or {l}: "
-                                   "an outer face is nonzero")
-    return words
-
-
 def _face_words(l: int, words, rows):
-    """Alternating inner face sums of basic monomials on l strands, given by
-    their strand words, one {row: int} per word in turn: the one face walk of
-    every Sinha complex.  Inner face i looks each term up in ``rows[i]``
-    ({strand word on l - 1 strands: row}, which may number a word on its
-    first lookup) as it writes it; a sum that cancels stays as a 0.
-    ``d1_matrix`` and ``_kept_face_matrix`` pass one index for every face,
-    ``_expanded_column_homology`` the block of each face's label.  The outer
-    faces are left to the callers.
+    """Alternating face sums, faces 0..l, of basic monomials on l strands,
+    given by their strand words, one {row: int} per word in turn: the one
+    face walk of every Sinha complex.  Face i looks each term up in
+    ``rows[i]`` ({strand word on l - 1 strands: row}, which may number a word
+    on its first lookup) as it writes it; a sum that cancels stays as a 0.
+    ``d1_matrix`` and ``_kept_face_matrix`` pass one index for every inner
+    face and ``None`` for the outer ones, ``_expanded_column_homology`` the
+    block of each face's label.
+
+    Face 0 deletes strand 1 and face l strand l.  Each vanishes where that
+    strand occurs; otherwise face 0 drops byte 0 and lowers every neighbour
+    by one, and face l drops the last byte, with sign (-1)^l.  An index of
+    ``None`` says the face must vanish, and a nonzero one raises
+    ``ConsistencyError``.
 
     Inner face i keeps the bytes of strands 1..i-1, merges those of i and
     i+1 into one, and relabels every later neighbour n as n - (n > i), one
@@ -210,6 +184,16 @@ def _face_words(l: int, words, rows):
     for w in words:
         acc = {}
         try:
+            for i in (0, l):
+                # strand 1 occurs as a tangent class or as a smaller neighbour
+                # (bytes 2 and 3); strand l is nobody's smaller neighbour
+                if (w[-1] if i else w[0] or 2 in w or 3 in w):
+                    continue
+                if rows[i] is None:
+                    raise ConsistencyError(f"normalized monomial {_monomial(w)!r} misses strand 1 or {l}: "
+                                           "an outer face is nonzero")
+                r = rows[i][w[:-1] if i else w[1:].translate(_SHRINK[0])]
+                acc[r] = acc.get(r, 0) + (-1) ** i
             for i in range(1, l):
                 x, y = w[i - 1], w[i]
                 ni, nj = x >> 1, y >> 1
@@ -262,18 +246,19 @@ def d1_matrix(l: int, k: int, f: Field) -> SparseMatrix:
 
     Columns and rows are the strand words of ``_basis_words(l, k)`` and
     ``_basis_words(l-1, k)``, in ``basis_order``, so the bases are those of
-    ``normalized_basis``; the inner faces are walked by ``_face_words``, each
-    term written straight into its row, in closed form and never through the
-    rewrite memo, and the outer faces vanish (``_normalized_words``).  An
-    inner face maps covered strands onto covered strands and the rewrite
-    keeps each term's strands, so every term of the image lies in the target
-    basis; a term outside it raises ``ConsistencyError``.
+    ``normalized_basis``; the faces are walked by ``_face_words``, each term
+    written straight into its row, in closed form and never through the
+    rewrite memo, and the outer faces, given no index, must vanish: a source
+    missing strand 1 or l raises ``ConsistencyError``.  An inner face maps
+    covered strands onto covered strands and the rewrite keeps each term's
+    strands, so every term of the image lies in the target basis; a term
+    outside it raises ``ConsistencyError``.
     """
     if l < 1:
         raise ValueError("d1 needs a positive column index")
     src = _basis_words(l, k)
     rows = {w: r for r, w in enumerate(_basis_words(l - 1, k))}
-    return SparseMatrix(len(rows), len(src), f, list(_face_words(l, _normalized_words(l, src), [rows] * l)))
+    return SparseMatrix(len(rows), len(src), f, list(_face_words(l, src, [None] + [rows] * (l - 1) + [None])))
 
 
 def column_homology(n: int, k: int, f: Field) -> list:
@@ -391,15 +376,16 @@ def _kept_face_matrix(l: int, f: Field) -> SparseMatrix:
     ``_kept_matchings`` and never through ``normalized_basis``, and one row
     per face term with a nonzero sum, numbered in strand-word order.  The
     columns are walked by ``_face_words``, which numbers each term's strand
-    word on its first lookup; a term whose sums all cancel gets no row.  A
-    source with a factor (i, i+1) raises ``ConsistencyError``: its face i
-    would be a tangent class, a row that only such a source may hit."""
+    word on its first lookup; a term whose sums all cancel gets no row.  The
+    outer faces, given no index, must vanish, as on d1.  A source with a
+    factor (i, i+1) raises ``ConsistencyError``: its face i would be a
+    tangent class, a row that only such a source may hit."""
     src = _kept_matchings(l)
     for m in src:
         if any(b == a + 1 for a, b in m):
             raise ConsistencyError(f"kept source {m!r} has a factor (i, i+1): one face is a tangent class")
     first = defaultdict(lambda: len(first))
-    cols = list(_face_words(l, _normalized_words(l, [_word(m, l) for m in src]), [first] * l))
+    cols = list(_face_words(l, [_word(m, l) for m in src], [None] + [first] * (l - 1) + [None]))
     hit = {j for col in cols for j, v in col.items() if v}
     number = [0] * len(first)
     for r, (_, j) in enumerate(sorted((w, j) for w, j in first.items() if j in hit)):
@@ -470,9 +456,9 @@ def _expanded_column_homology(n: int, k: int, f: Field) -> dict:
     its empty degrees left out.  Degree r holds one block of
     ``basis_monomials(r, k)`` per label, an (r+1)-subset of 1..n+1, numbered
     label by label.  Face i drops the label's i-th element and takes face i
-    of the monomial: ``_face_words`` writes the inner faces into the block of
-    each face's label.  The outer faces, which delete strand 1 (face 0) or
-    strand r (face r), vanish where that strand occurs."""
+    of the monomial: ``_face_words`` writes all r + 1 faces into the block of
+    each face's label, the outer ones, which delete strand 1 or strand r,
+    where that strand is missing."""
     words = [[_word(m, r) for m in basis_monomials(r, k)] for r in range(n + 1)]
     labels = [list(itertools.combinations(range(1, n + 2), r + 1)) for r in range(n + 1)]
 
@@ -481,17 +467,7 @@ def _expanded_column_homology(n: int, k: int, f: Field) -> dict:
         block = {lab: {w: t * size + j for j, w in enumerate(words[r - 1])} for t, lab in enumerate(labels[r - 1])}
         columns = []
         for lab in labels[r]:
-            faces = [block[lab[:i] + lab[i + 1:]] for i in range(r + 1)]
-            for w, col in zip(words[r], _face_words(r, words[r], faces)):
-                # strand 1 occurs as a tangent class or as a smaller neighbour, bytes 2 and 3
-                if not w[0] and 2 not in w and 3 not in w:
-                    t = faces[0][w[1:].translate(_SHRINK[0])]
-                    col[t] = col.get(t, 0) + 1
-                # strand r is nobody's smaller neighbour
-                if not w[-1]:
-                    t = faces[r][w[:-1]]
-                    col[t] = col.get(t, 0) + (-1) ** r
-                columns.append(col)
+            columns.extend(_face_words(r, words[r], [block[lab[:i] + lab[i + 1:]] for i in range(r + 1)]))
         return SparseMatrix(len(block) * size, len(columns), f, columns)
 
     hs = homology_dim([dmat(r) for r in range(1, n + 1)])

@@ -90,6 +90,17 @@ def face(i: int, l: int, mono: tuple) -> dict:
     return dict(reduce_squarefree(tuple(sorted(pairs))))
 
 
+def outer_face(i: int, l: int, mono: tuple) -> dict:
+    """Outer face i (0 or l) of a factor tuple on l strands, as {factor
+    tuple: 1}: zero if a factor touches the deleted strand, 1 or l, and
+    otherwise the literal relabel s -> s - 1 for i = 0, the tuple as it is
+    for i = l."""
+    gone = 1 if i == 0 else l
+    if any(gone in pair for pair in mono):
+        return {}
+    return {tuple((a - (i == 0), b - (i == 0)) for a, b in mono): 1}
+
+
 def from_entries(rows: int, cols: int, field: Field, entries: dict) -> SparseMatrix:
     """The matrix of a {(row, col): value} dict, regrouped into the column
     dicts its constructor takes."""

@@ -2,8 +2,9 @@
 factor tuple in the library's answers: no module names an object wrapper
 for it, and no frozenset is left on the path.  Each normalized column is
 enumerated once, as strand words, by the one memo in ``sinha``, which
-``d1_matrix`` reads without encoding or decoding a monomial.  One face walk
-writes the faces of every Sinha complex."""
+``d1_matrix`` reads without encoding or decoding a monomial, and that
+search writes each word at one place.  One face walk writes all l + 1 faces
+of every Sinha complex, and it alone deletes strand 1."""
 
 import ast
 from pathlib import Path
@@ -89,3 +90,22 @@ def test_d1_reads_the_basis_words_as_they_are():
     names = _identifiers(d1)
     assert BASIS_MEMO in names
     assert not names & {"_word", "_monomial", "normalized_basis"}
+
+
+def _top_level_defs(tree):
+    return [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_only_the_face_walk_deletes_strand_1():
+    # _SHRINK[0] lowers every neighbour once strand 1 is gone: face 0's relabel
+    sites = [fn.name for path in sorted(PKG.glob("*.py")) for fn in _top_level_defs(_tree(path.name))
+             for sub in ast.walk(fn) if isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Name)
+             and sub.value.id == "_SHRINK" and isinstance(sub.slice, ast.Constant) and sub.slice.value == 0]
+    assert sites == [FACE_WALK]
+
+
+def test_the_basis_search_emits_at_one_site():
+    (search,) = [fn for fn in _top_level_defs(_tree("sinha.py")) if fn.name == BASIS_MEMO]
+    emits = [sub for sub in ast.walk(search)
+             if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == "emit"]
+    assert len(emits) == 1

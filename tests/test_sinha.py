@@ -24,6 +24,7 @@ from oracles import (
     inclusion_exclusion_dim,
     is_basic,
     linear_relation_matrix,
+    outer_face,
     rewrite_step,
     shared_larger,
 )
@@ -48,7 +49,7 @@ F2 = Field(2)
 
 
 class FaceRows(dict):
-    """The rows of inner face i: each strand word w is the row (i, w)."""
+    """The rows of face i: each strand word w is the row (i, w)."""
 
     def __init__(self, i):
         super().__init__()
@@ -62,7 +63,7 @@ def walk_face(i, l, mono):
     """Inner face i of a basic monomial on l strands as ``_face_words``
     writes it, {factor tuple: nonzero int} without the sign (-1)^i, each face
     looked up in rows of its own."""
-    (col,) = sinha._face_words(l, [sinha._word(mono, l)], [FaceRows(j) for j in range(l)])
+    (col,) = sinha._face_words(l, [sinha._word(mono, l)], [FaceRows(j) for j in range(l + 1)])
     return {monomial(w): (-1) ** i * c for (j, w), c in col.items() if j == i and c}
 
 
@@ -127,12 +128,18 @@ def test_face_walk_leaves_the_rewrite_memo_alone():
 
 
 def test_face_index_range():
-    # the walk looks up the rows of the inner faces 1..l-1 alone: the outer
-    # faces 0 and l are its callers', and a lookup there would raise
-    for l, mono in [(3, ((1, 3),)), (4, ((1, 4), (2, 3)))] + STAIRS:
-        rows = [None] + [FaceRows(i) for i in range(1, l)]
-        (col,) = sinha._face_words(l, [sinha._word(mono, l)], rows)
-        assert {i for (i, _), c in col.items() if c} == {i for i in range(1, l) if face(i, l, mono)}, (l, mono)
+    # the walk writes all l + 1 faces, each into its own rows: faces 0 and l
+    # are the literal deletions, the inner faces the reduced relabels.  Every
+    # basic monomial on up to 5 strands is fed, many of them missing strand 1,
+    # strand l or both; g(2,5) g(3,4) on 6 strands misses both, and its face
+    # 4 takes an Arnold step
+    cases = [(l, m) for l in range(1, 6) for k in range(2 * l) for m in basis_monomials(l, k)]
+    cases += STAIRS + [(6, ((2, 5), (3, 4)))]
+    for l, mono in cases:
+        (col,) = sinha._face_words(l, [sinha._word(mono, l)], [FaceRows(i) for i in range(l + 1)])
+        for i in range(l + 1):
+            got = {monomial(w): (-1) ** i * c for (j, w), c in col.items() if j == i and c}
+            assert got == (face(i, l, mono) if 0 < i < l else outer_face(i, l, mono)), (i, l, mono)
 
 
 def test_simplicial_face_identity():
@@ -233,22 +240,31 @@ def test_d1_raises_on_a_face_term_outside_the_basis(monkeypatch):
     assert leaked in normalized_basis(3, 2)
 
     def leaky(l, words, rows):
-        return walk(l, words, [{w: r for w, r in rows[1].items() if w != sinha._word(leaked, l - 1)}] * l)
+        kept = {w: r for w, r in rows[1].items() if w != sinha._word(leaked, l - 1)}
+        return walk(l, words, [None] + [kept] * (l - 1) + [None])
 
     monkeypatch.setattr(sinha, "_face_words", leaky)
     with pytest.raises(ConsistencyError, match=re.escape(f"face image term {leaked!r} of ((")):
         d1_matrix(4, 2, Q)
 
 
-@pytest.mark.parametrize("source", [((2, 2), (3, 4)), ((1, 3), (2, 2))], ids=["no-strand-1", "no-strand-l"])
+@pytest.mark.parametrize("source", [((2, 2), (3, 4)), ((1, 3), (2, 2)), ((2, 4),)],
+                         ids=["no-strand-1", "no-strand-l", "diagonal"])
 def test_d1_raises_on_a_source_missing_an_outer_strand(monkeypatch, source):
     # a source missing strand 1 has a nonzero face 0, one missing strand l a
-    # nonzero face l: neither is a normalized monomial
-    real = sinha._basis_words
-    monkeypatch.setattr(sinha, "_basis_words",
-                        lambda l, k: real(l, k) + (sinha._word(source, l),) if (l, k) == (4, 2) else real(l, k))
+    # nonzero face l: neither is a normalized monomial, on d1 or among the
+    # kept sources of the diagonal entry
+    if source == ((2, 4),):
+        real = sinha._kept_matchings
+        monkeypatch.setattr(sinha, "_kept_matchings", lambda l: real(l) + [source])
+        run = lambda: sinha._kept_face_matrix(4, Q)
+    else:
+        real = sinha._basis_words
+        monkeypatch.setattr(sinha, "_basis_words",
+                            lambda l, k: real(l, k) + (sinha._word(source, l),) if (l, k) == (4, 2) else real(l, k))
+        run = lambda: d1_matrix(4, 2, Q)
     with pytest.raises(ConsistencyError, match=re.escape(f"normalized monomial {source!r} misses strand 1 or 4")):
-        d1_matrix(4, 2, Q)
+        run()
 
 
 def test_d1_two_one_is_minus_one():
@@ -340,7 +356,7 @@ class Numbering(dict):
 def assert_word_walk_is_the_face_sum(l, mono):
     assert monomial(sinha._word(mono, l)) == mono
     rows = Numbering()
-    (col,) = sinha._face_words(l, [sinha._word(mono, l)], [rows] * l)
+    (col,) = sinha._face_words(l, [sinha._word(mono, l)], [rows] * (l + 1))
     words = list(rows)
     assert {monomial(words[r]): c for r, c in col.items() if c} == face_sum(l, mono)
 
@@ -773,12 +789,22 @@ def test_kan_unit_check_n2(field):
 
 
 def test_kan_corrupted_sign_detected(monkeypatch):
-    # negate every inner face sum and keep the outer faces: d * d no longer
-    # vanishes on the expanded complex (d1, negated as a whole, still squares to 0)
-    walk = sinha._face_words
-    monkeypatch.setattr(sinha, "_face_words", lambda l, words, rows: ({r: -c for r, c in col.items()}
-                                                                       for col in walk(l, words, rows)))
+    # negate the first label block of the expanded differential out of each
+    # degree r (the first walk on r strands given a face-0 index) and keep
+    # the other blocks: d * d no longer vanishes (a differential negated as a
+    # whole, d1's among them, still squares to 0)
+    walk, seen = sinha._face_words, set()
+
+    def corrupt(l, words, rows):
+        cols = walk(l, words, rows)
+        if rows[0] is None or l in seen:
+            return cols
+        seen.add(l)
+        return ({r: -c for r, c in col.items()} for col in cols)
+
+    monkeypatch.setattr(sinha, "_face_words", corrupt)
     for n in (2, 3):
+        seen.clear()
         with pytest.raises(ComplexError, match=re.escape("d_1 * d_2 != 0")):
             kan_unit_check(n, 2, Q)
 
